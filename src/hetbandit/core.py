@@ -28,7 +28,7 @@ class SingularInformation(HetBanditError):
 
     def __init__(self, smallest_pivot: float):
         self.smallest_pivot = float(smallest_pivot)
-        super().__init__(f"information matrix singular (smallest pivot {smallest_pivot:.3e})")
+        super().__init__(f"information matrix singular (smallest eigenvalue {smallest_pivot:.3e})")
 
 
 class SpanViolation(HetBanditError):

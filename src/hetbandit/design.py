@@ -9,7 +9,10 @@ but must lie in their span.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -361,7 +364,47 @@ def _eg_dual_solve(X, V, prec, tolerance, outers=80, inner_steps=50):
     return best_bound, best_lam, best_value, False
 
 
+# Solved designs kept per process, least recently used first out. Four
+# replications of each of example1 and example2 meet about 40 distinct problems.
+MEMO_SIZE = 256
+_memo: OrderedDict[bytes, Design] = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _problem_digest(problem: DesignProblem) -> bytes:
+    """Digest of everything the solver reads: the arrays, tolerance and cap."""
+    digest = hashlib.blake2b(digest_size=16)
+    for part in (problem.sample_vectors, problem.eval_vectors, problem.variances):
+        digest.update(repr(part.shape).encode())
+        digest.update(part.tobytes())
+    digest.update(repr((float(problem.tolerance), int(problem.max_iters))).encode())
+    return digest.digest()
+
+
 def solve_design(problem: DesignProblem) -> Design:
+    """Minimax design for ``problem``; see :func:`_solve_design`.
+
+    The solver is deterministic and :class:`Design` is frozen, so a problem
+    already solved in this process (same arrays bit for bit, same tolerance
+    and iteration cap) returns the stored design. The memo holds digests and
+    designs only, never the problem's arrays, and at most ``MEMO_SIZE`` of
+    them. Failed solves are not stored.
+    """
+    key = _problem_digest(problem)
+    with _memo_lock:
+        design = _memo.get(key)
+        if design is not None:
+            _memo.move_to_end(key)
+            return design
+    design = _solve_design(problem)
+    with _memo_lock:
+        _memo[key] = design
+        if len(_memo) > MEMO_SIZE:
+            _memo.popitem(last=False)
+    return design
+
+
+def _solve_design(problem: DesignProblem) -> Design:
     """Frank-Wolfe iteration for the minimax design.
 
     The worst-case objective is smoothed entropically (softmax weights over

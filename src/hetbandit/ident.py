@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DegenerateGap, Design, DimensionMismatch, HeteroInstance, solve_psd
-from .design import DesignProblem, RoundSchedule, round_design, solve_design
+from .design import DesignProblem, round_design, solve_design
 from .env import Environment
 from .varest import DEFAULT_C_PRIME, head_budget_for_half, head_estimate
 
@@ -137,13 +137,6 @@ def round_budget(epsilon: float, design_value: float, n_targets: int, delta: flo
     return scale * design_value / epsilon**2 * math.log(8 * ell**2 * n_targets / delta)
 
 
-def _schedule_from_design(design: Design, tau: float) -> RoundSchedule:
-    counts = tuple(
-        int(math.ceil(tau * w)) if w > 0 and tau > 0 else 0 for w in design.weights
-    )
-    return RoundSchedule(counts=counts, total=sum(counts), mode="ceiling")
-
-
 def _weighted_theta(env_counts, env_sums, arms, precisions) -> np.ndarray:
     mask = env_counts > 0
     Xs = arms[mask]
@@ -205,7 +198,7 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
         )
         epsilon = 2.0 ** (-ell)
         tau = round_budget(epsilon, design.value, n_targets, task.delta, ell, tau_scale)
-        schedule = _schedule_from_design(design, tau)
+        schedule = round_design(design, tau, "ceiling")
         counts, sums = env.sample_schedule_sums(schedule)
         theta_hat = _weighted_theta(counts, sums, inst.arms, precisions)
 
@@ -397,12 +390,17 @@ def oracle_run(
 
     for batch in range(7):  # cumulative targets: nominal * 2^0 .. 2^6
         target_total = nominal * 2**batch
-        increment = max(target_total - total, 0)
-        schedule = _schedule_from_design(design, increment)
-        c_inc, s_inc = env.sample_schedule_sums(schedule)
-        counts += c_inc
-        sums += s_inc
-        total += schedule.total
+        increment = target_total - total
+        pulls = 0
+        # Ceiling overshoot can already cover the next target; such a batch
+        # draws nothing but is still verified and recorded.
+        if increment > 0:
+            schedule = round_design(design, increment, "ceiling")
+            c_inc, s_inc = env.sample_schedule_sums(schedule)
+            counts += c_inc
+            sums += s_inc
+            pulls = schedule.total
+        total += pulls
 
         theta_hat = _weighted_theta(counts, sums, inst.arms, precisions)
         mask = counts > 0
@@ -421,7 +419,7 @@ def oracle_run(
                 epsilon=math.nan,
                 tau=float(target_total),
                 active_size=n_targets,
-                pulls=schedule.total,
+                pulls=pulls,
                 design_value=design.value,
                 active_indices=(),
             )

@@ -23,10 +23,9 @@ class ConfigError(HetBanditError):
 
 @dataclass(frozen=True)
 class VarEstTask:
-    """Variance-estimation comparison: estimators to run on a budget ladder."""
+    """Variance-estimation comparison on a budget ladder."""
 
     budgets: tuple[int, ...]
-    estimators: tuple[str, ...] = ("head", "uniform", "separate_arm")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import grid_minimax_value
 from hetbandit import DesignProblem, SpanViolation, round_design, solve_design
+from hetbandit import design as design_module
 from hetbandit.core import quad_form_inv
+from hetbandit.design import MEMO_SIZE, _solve_design
 
 
 def kw_problem(arms, tolerance=1e-3):
@@ -72,13 +79,18 @@ class TestSolveDesign:
         assert grown.value >= small.value * (1 - 2e-3)
 
     def test_deterministic(self):
+        # The uncached engine twice, then the memo: a hit must equal both.
         rng = np.random.default_rng(21)
         arms = rng.standard_normal((12, 4))
         evals = rng.standard_normal((6, 4))
-        one = solve_design(DesignProblem(arms, evals, tolerance=1e-3))
-        two = solve_design(DesignProblem(arms, evals, tolerance=1e-3))
+        one = _solve_design(DesignProblem(arms, evals, tolerance=1e-3))
+        two = _solve_design(DesignProblem(arms, evals, tolerance=1e-3))
         assert np.array_equal(one.weights, two.weights)
         assert one.value == two.value
+        solve_design(DesignProblem(arms, evals, tolerance=1e-3))
+        hit = solve_design(DesignProblem(arms, evals, tolerance=1e-3))
+        assert np.array_equal(hit.weights, one.weights)
+        assert hit.value == one.value
 
     def test_non_certified_flag_on_iteration_cap(self):
         rng = np.random.default_rng(2)
@@ -101,6 +113,123 @@ class TestSolveDesign:
             DesignProblem(np.eye(2), np.eye(2), tolerance=0.0)
         with pytest.raises(Exception):
             DesignProblem(np.eye(2), np.eye(3))
+
+
+def memo_problem(seed=31, **kwargs):
+    rng = np.random.default_rng(seed)
+    arms = rng.standard_normal((8, 3))
+    evals = rng.standard_normal((4, 3))
+    kwargs.setdefault("tolerance", 1e-3)
+    return DesignProblem(arms, evals, **kwargs)
+
+
+@pytest.fixture
+def empty_memo():
+    design_module._memo.clear()
+    yield design_module._memo
+    design_module._memo.clear()
+
+
+class TestSolveDesignMemo:
+    def test_repeat_matches_engine(self, empty_memo):
+        fresh = _solve_design(memo_problem())
+        first = solve_design(memo_problem())
+        again = solve_design(memo_problem())
+        assert again is first
+        assert len(empty_memo) == 1
+        for design in (first, again):
+            assert np.array_equal(design.weights, fresh.weights)
+            assert design.value == fresh.value
+            assert design.certified == fresh.certified
+            assert np.array_equal(design.support, fresh.support)
+
+    def test_changed_inputs_miss(self, empty_memo):
+        base = memo_problem()
+        arms, evals = base.sample_vectors, base.eval_vectors
+        nudged = arms.copy()
+        nudged[2, 1] = np.nextafter(nudged[2, 1], np.inf)
+        variants = [
+            base,
+            DesignProblem(arms, evals, variances=np.full(8, 2.0), tolerance=1e-3),
+            DesignProblem(arms, evals, tolerance=2e-3),
+            DesignProblem(arms, evals, tolerance=1e-3, max_iters=19_999),
+            DesignProblem(arms, evals[::-1], tolerance=1e-3),
+            DesignProblem(nudged, evals, tolerance=1e-3),
+        ]
+        designs = [solve_design(problem) for problem in variants]
+        assert len(empty_memo) == len(variants)
+        assert len({id(design) for design in designs}) == len(variants)
+
+    def test_oldest_entry_evicted(self, empty_memo, monkeypatch):
+        calls = []
+
+        def fake_engine(problem):
+            calls.append(problem)
+            return design_module.Design(weights=np.full(2, 0.5), value=1.0, support_size=2)
+
+        monkeypatch.setattr(design_module, "_solve_design", fake_engine)
+        problems = [DesignProblem(np.eye(2), np.eye(2), tolerance=1e-3 * (k + 1))
+                    for k in range(MEMO_SIZE + 1)]
+        for problem in problems:
+            solve_design(problem)
+        assert len(empty_memo) == MEMO_SIZE
+        solve_design(problems[-1])
+        assert len(calls) == MEMO_SIZE + 1
+        solve_design(problems[0])
+        assert len(calls) == MEMO_SIZE + 2
+
+    def test_failed_solve_not_stored(self, empty_memo, monkeypatch):
+        def failing_engine(problem):
+            raise design_module.SingularInformation(0.0)
+
+        monkeypatch.setattr(design_module, "_solve_design", failing_engine)
+        with pytest.raises(design_module.SingularInformation):
+            solve_design(memo_problem())
+        assert len(empty_memo) == 0
+
+    def test_threads_share_memo(self, empty_memo, monkeypatch):
+        # A small memo with one problem more than fits: threads keep hitting
+        # entries that others are evicting.
+        def fake_engine(problem):
+            return design_module.Design(weights=np.full(2, 0.5), value=problem.tolerance,
+                                        support_size=2)
+
+        monkeypatch.setattr(design_module, "_solve_design", fake_engine)
+        monkeypatch.setattr(design_module, "MEMO_SIZE", 4)
+        problems = [DesignProblem(np.eye(2), np.eye(2), tolerance=1e-3 * (k + 1)) for k in range(5)]
+        errors = []
+
+        def worker(offset):
+            try:
+                for k in range(4000):
+                    problem = problems[(k * offset) % len(problems)]
+                    if solve_design(problem).value != problem.tolerance:
+                        errors.append(k)
+            except Exception as exc:  # reported through the list below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i + 1,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(empty_memo) <= 4
+
+    def test_problem_not_kept_alive(self, empty_memo):
+        problem = memo_problem()
+        solve_design(problem)
+        refs = [weakref.ref(obj) for obj in (problem, problem.sample_vectors,
+                                             problem.eval_vectors, problem.variances)]
+        del problem
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 def realized_value(schedule, arms, evals, variances=None):

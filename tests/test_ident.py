@@ -271,6 +271,16 @@ class TestOracleRuns:
             max_pulls.append(oracle_run(task, env, "max").total_pulls)
         assert np.mean(truth_pulls) <= np.mean(max_pulls)
 
+    def test_batch_covered_by_overshoot_draws_nothing(self):
+        # Understated variances make the nominal budget one pull, so the
+        # ceiling overshoot of batch 1 already covers the target of batch 2.
+        inst = HeteroInstance(np.eye(2), np.eye(2), np.array([1.0, 0.0]), np.eye(2), 1.0, 1.0)
+        task = IdentTask("bai", 0.05, inst)
+        env = Environment.from_instance(inst, seed=2)
+        trace = oracle_run(task, env, "truth", variances=np.full(2, 1e-9))
+        assert [r.pulls for r in trace.rounds] == [2, 0, 2]
+        assert trace.total_pulls == env.pull_count == 4
+
     def test_bad_source_rejected(self):
         task = IdentTask("bai", 0.05, two_target_instance(0.2))
         with pytest.raises(ValueError):
