@@ -42,7 +42,6 @@ from .presets import ConfigError, ExperimentConfig, PresetBundle, VarEstTask, bu
 from .runner import emit_design_table, run_suite
 from .varest import (
     DEFAULT_C_PRIME,
-    VarEstBudget,
     head_budget_for_half,
     head_estimate,
     mae,
@@ -73,7 +72,6 @@ __all__ = [
     "RunTrace",
     "SingularInformation",
     "SpanViolation",
-    "VarEstBudget",
     "VarEstTask",
     "VarianceEstimate",
     "build_preset",

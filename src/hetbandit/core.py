@@ -141,6 +141,28 @@ def info_matrix(vectors, design_weights, weights=None) -> np.ndarray:
     return scaled.T @ vecs
 
 
+def greedy_spanning_subset(vectors: np.ndarray, size: int) -> list[int]:
+    """Pick up to ``size`` rows by greedy orthogonal-residual pivoting.
+
+    Each step takes the row with the largest residual norm after projecting
+    out the rows already chosen, which keeps the chosen system well
+    conditioned without a combinatorial subset search. Stops early once
+    every residual is below ``1e-20`` times the largest squared row norm.
+    """
+    resid = np.array(vectors, dtype=np.float64)
+    chosen: list[int] = []
+    scale = float(np.einsum("ij,ij->i", resid, resid).max())
+    for _ in range(size):
+        norms = np.einsum("ij,ij->i", resid, resid)
+        idx = int(np.argmax(norms))
+        if norms[idx] <= 1e-20 * max(scale, 1e-300):
+            break
+        chosen.append(idx)
+        q = resid[idx] / math.sqrt(norms[idx])
+        resid -= np.outer(resid @ q, q)
+    return chosen
+
+
 def solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric PD A via Cholesky, with a ridge fallback.
 

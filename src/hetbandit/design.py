@@ -23,6 +23,7 @@ from .core import (
     SingularInformation,
     SpanViolation,
     _as_matrix,
+    greedy_spanning_subset,
     solve_psd,
 )
 
@@ -86,21 +87,6 @@ class DesignProblem:
     @property
     def rank(self) -> int:
         return self._basis.shape[1]
-
-
-def _greedy_spanning_subset(X: np.ndarray, rank: int) -> list[int]:
-    """Indices of vectors chosen by greedy orthogonal-residual pivoting."""
-    resid = X.copy()
-    chosen: list[int] = []
-    for _ in range(rank):
-        norms = np.einsum("ij,ij->i", resid, resid)
-        idx = int(np.argmax(norms))
-        if norms[idx] <= 0:
-            break
-        chosen.append(idx)
-        q = resid[idx] / math.sqrt(norms[idx])
-        resid -= np.outer(resid @ q, q)
-    return chosen
 
 
 # Dual bounds are only trusted when the factorization behind them is well
@@ -433,7 +419,7 @@ def _solve_design(problem: DesignProblem) -> Design:
         raise ValueError("need at least one evaluation vector")
 
     lam = np.zeros(n)
-    init = _greedy_spanning_subset(X, r)
+    init = greedy_spanning_subset(X, r)
     lam[init] = 1.0 / len(init)
     best_lam = lam.copy()
     best_value = math.inf

@@ -10,13 +10,18 @@ Three strategies are provided:
 * :func:`uniform_estimate` - uniform arm sampling, no sample splitting.
 * :func:`separate_arm_estimate` - per-arm sample variances on a
   well-conditioned square subset of lifted arms.
+
+Every estimator reduces its pulls to per-arm sufficient statistics (count,
+mean and centred sum of squares) as soon as they are drawn, so each
+regression has one row per pulled arm rather than one per pull. The sum of
+squared residuals of arm i about any fit is ``SS_i + n_i (mean_i - fit_i)^2``,
+which makes the per-arm regressions equal to the per-pull ones.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .core import (
     InsufficientBudget,
     RankDeficientLift,
     VarianceEstimate,
+    greedy_spanning_subset,
     lift_arms,
     solve_psd,
     unvech,
@@ -35,26 +41,6 @@ from .env import Environment
 # Default multiplicative-error constant: 2e3 * (1 + 6 * (1/3)), combining the
 # concentration constant with the rounding slack at epsilon = 1/3.
 DEFAULT_C_PRIME = 6000.0
-
-BUDGET_TARGETS = ("absolute", "multiplicative_half")
-
-
-@dataclass(frozen=True)
-class VarEstBudget:
-    """Sampling budget for a variance-estimation run."""
-
-    gamma: int
-    c_prime: float = DEFAULT_C_PRIME
-    target: str = "multiplicative_half"
-    delta: float = 0.05
-
-    def __post_init__(self):
-        if self.gamma % 2 != 0:
-            raise ValueError("gamma must be even (the budget is split in half)")
-        if self.target not in BUDGET_TARGETS:
-            raise ValueError(f"target must be one of {BUDGET_TARGETS}")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
 
 
 def head_budget_for_half(inst: HeteroInstance, delta: float, c_prime: float = DEFAULT_C_PRIME) -> int:
@@ -73,6 +59,22 @@ def _clamp_all(raw: np.ndarray, inst: HeteroInstance) -> np.ndarray:
     return np.clip(raw, inst.sigma_min_sq, inst.sigma_max_sq)
 
 
+def _arm_moments(env: Environment, schedule: RoundSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pull a schedule and reduce it to per-arm (counts, means, SS).
+
+    ``SS`` is each arm's sum of squared deviations from its own mean, taken
+    in a second pass over the centred pulls so that it never cancels the
+    way ``sum y^2 - n mean^2`` does. Arms without pulls read zero.
+    """
+    n_arms = len(schedule.counts)
+    idx, ys = env.sample_schedule(schedule)
+    counts = np.bincount(idx, minlength=n_arms)
+    sums = np.bincount(idx, weights=ys, minlength=n_arms)
+    means = np.divide(sums, counts, out=np.zeros(n_arms), where=counts > 0)
+    ss = np.bincount(idx, weights=(ys - means[idx]) ** 2, minlength=n_arms)
+    return counts, means, ss
+
+
 def head_estimate(
     inst: HeteroInstance,
     env: Environment,
@@ -84,11 +86,15 @@ def head_estimate(
     Phase one spends half the budget on an unweighted minimax design over the
     arms and fits the mean parameter by least squares. Phase two solves the
     same design problem over the lifted arms (restricted to their span),
-    spends the other half there, and regresses the squared phase-one
-    residuals on the lifts, one row per pull. If the lifted pulls do not span
-    the full lift space the minimum-norm solution is taken and the estimate
-    is flagged ``rank_deficient`` (per-arm values stay identified because
-    every arm's lift lies in the sampled span).
+    spends the other half there, and regresses the squared residuals about
+    the phase-one fit on the lifts. Both fits run on per-arm sufficient
+    statistics: phase one is count-weighted least squares on the arm means,
+    and phase two has one row per pulled arm, weighted by its pull count,
+    whose target is the arm's mean squared residual; this gives the same
+    solution and the same rank as a regression with one row per pull. If the
+    lifted pulls do not span the full lift space the minimum-norm solution is
+    taken and the estimate is flagged ``rank_deficient`` (per-arm values stay
+    identified because every arm's lift lies in the sampled span).
     """
     if gamma % 2 != 0:
         warnings.warn("odd budget decremented by one to allow an even split")
@@ -106,9 +112,8 @@ def head_estimate(
             f"half budget {half} below stage-1 design support {des1.support_size}"
         )
     sched1 = round_design(des1, half, "ceiling")
-    idx1, y1 = env1.sample_schedule(sched1)
-    rows1 = X[idx1]
-    theta_hat = solve_psd(rows1.T @ rows1, rows1.T @ y1)
+    n1, mean1, _ = _arm_moments(env1, sched1)
+    theta_hat = solve_psd((X.T * n1) @ X, X.T @ (n1 * mean1))
 
     des2 = solve_design(DesignProblem(phi, phi, tolerance=fw_tol))
     if half < des2.support_size:
@@ -116,10 +121,17 @@ def head_estimate(
             f"half budget {half} below stage-2 design support {des2.support_size}"
         )
     sched2 = round_design(des2, half, "ceiling")
-    idx2, y2 = env2.sample_schedule(sched2)
-    resid_sq = (y2 - X[idx2] @ theta_hat) ** 2
-    coeffs, _, rank, _ = np.linalg.lstsq(phi[idx2], resid_sq, rcond=None)
+    n2, mean2, ss2 = _arm_moments(env2, sched2)
+    pulled = n2 > 0
+    n2, mean2, ss2 = n2[pulled], mean2[pulled], ss2[pulled]
+    mean_resid_sq = ss2 / n2 + (mean2 - X[pulled] @ theta_hat) ** 2
+    root_n = np.sqrt(n2)
     m_dim = phi.shape[1]
+    # The rank cutoff of the equivalent one-row-per-pull regression.
+    rcond = np.finfo(np.float64).eps * max(sched2.total, m_dim)
+    coeffs, _, rank, _ = np.linalg.lstsq(
+        phi[pulled] * root_n[:, None], mean_resid_sq * root_n, rcond=rcond
+    )
 
     raw = phi @ coeffs
     return VarianceEstimate(
@@ -142,8 +154,9 @@ def uniform_estimate(
     """Uniform-sampling baseline: one pooled sample, no splitting.
 
     The mean parameter is fit on all draws and the squared residuals of the
-    same draws are regressed on the lifted arms. Rank-deficient pools fall
-    back to a ridge-regularized solve and are flagged.
+    same draws are regressed on the lifted arms, both through count-weighted
+    normal equations on per-arm sufficient statistics. Rank-deficient pools
+    fall back to a ridge-regularized solve and are flagged.
     """
     if gamma < 1:
         raise InsufficientBudget("uniform estimator needs at least one sample")
@@ -153,19 +166,17 @@ def uniform_estimate(
     indices = pick_rng.integers(0, inst.n_arms, size=gamma)
     counts = np.bincount(indices, minlength=inst.n_arms)
     schedule = RoundSchedule(counts=tuple(int(c) for c in counts), total=int(counts.sum()), mode="ceiling")
-    idx, ys = env.sample_schedule(schedule)
+    n, means, ss = _arm_moments(env, schedule)
 
-    rows = X[idx]
-    gram = rows.T @ rows
+    gram = (X.T * n) @ X
     ridge_used = np.linalg.matrix_rank(gram) < inst.dimension
-    theta_hat = solve_psd(gram, rows.T @ ys)
+    theta_hat = solve_psd(gram, X.T @ (n * means))
 
-    lrows = phi[idx]
-    resid_sq = (ys - rows @ theta_hat) ** 2
-    lgram = lrows.T @ lrows
+    resid_ss = ss + n * (means - X @ theta_hat) ** 2
+    lgram = (phi.T * n) @ phi
     m_dim = phi.shape[1]
     rank_deficient = np.linalg.matrix_rank(lgram) < m_dim
-    coeffs = solve_psd(lgram, lrows.T @ resid_sq)
+    coeffs = solve_psd(lgram, phi.T @ resid_ss)
 
     raw = phi @ coeffs
     return VarianceEstimate(
@@ -177,26 +188,6 @@ def uniform_estimate(
         rank_deficient=rank_deficient,
         ridge_used=ridge_used or rank_deficient,
     )
-
-
-def greedy_lift_subset(phi: np.ndarray, size: int) -> list[int]:
-    """Pick ``size`` lifted arms by greedy orthogonal-residual pivoting.
-
-    Maximizing the residual norm at each step keeps the selected square
-    system well conditioned without a combinatorial subset search.
-    """
-    resid = phi.copy()
-    chosen: list[int] = []
-    scale = float(np.einsum("ij,ij->i", phi, phi).max())
-    for _ in range(size):
-        norms = np.einsum("ij,ij->i", resid, resid)
-        idx = int(np.argmax(norms))
-        if norms[idx] <= 1e-20 * max(scale, 1e-300):
-            break
-        chosen.append(idx)
-        q = resid[idx] / math.sqrt(norms[idx])
-        resid -= np.outer(resid @ q, q)
-    return chosen
 
 
 def separate_arm_estimate(
@@ -213,7 +204,7 @@ def separate_arm_estimate(
     X = inst.arms
     phi = lift_arms(X)
     m_dim = phi.shape[1]
-    chosen = greedy_lift_subset(phi, m_dim)
+    chosen = greedy_spanning_subset(phi, m_dim)
     if len(chosen) < m_dim:
         raise RankDeficientLift(
             f"only {len(chosen)} independent lifted arms available, need {m_dim}"
@@ -227,12 +218,8 @@ def separate_arm_estimate(
     counts = np.zeros(inst.n_arms, dtype=np.int64)
     counts[chosen] = n_per
     schedule = RoundSchedule(counts=tuple(int(c) for c in counts), total=int(counts.sum()), mode="ceiling")
-    idx, ys = env.sample_schedule(schedule)
-
-    sample_vars = np.empty(m_dim)
-    for pos, arm in enumerate(chosen):
-        obs = ys[idx == arm]
-        sample_vars[pos] = np.mean((obs - obs.mean()) ** 2)
+    n, _, ss = _arm_moments(env, schedule)
+    sample_vars = ss[chosen] / n[chosen]
 
     phi_subset = phi[chosen]
     try:

@@ -9,7 +9,6 @@ from hetbandit import (
     HeteroInstance,
     InsufficientBudget,
     RankDeficientLift,
-    VarEstBudget,
     head_budget_for_half,
     head_estimate,
     mae,
@@ -17,7 +16,8 @@ from hetbandit import (
     separate_arm_estimate,
     uniform_estimate,
 )
-from hetbandit.core import lift_arms, vech
+from hetbandit.core import greedy_spanning_subset, lift_arms, solve_psd, vech
+from hetbandit.presets import build_varest_instance
 
 
 def basis_instance(d=3, noise=2.0):
@@ -50,15 +50,6 @@ class TestBudgetFormula:
 
     def test_default_constant(self):
         assert DEFAULT_C_PRIME == 2e3 * (1 + 6 * (1 / 3))
-
-    def test_budget_type_validation(self):
-        with pytest.raises(ValueError):
-            VarEstBudget(gamma=7)
-        with pytest.raises(ValueError):
-            VarEstBudget(gamma=8, target="exotic")
-        with pytest.raises(ValueError):
-            VarEstBudget(gamma=8, delta=1.5)
-        assert VarEstBudget(gamma=8).c_prime == DEFAULT_C_PRIME
 
 
 class TestZeroNoiseFixedPoint:
@@ -144,8 +135,6 @@ class TestHeadEstimate:
     def test_beats_uniform_on_scaled_instance(self):
         # Monte-Carlo ordering at a matched budget on a small version of the
         # mixed-radius sphere setting, where the design advantage shows.
-        from hetbandit.presets import build_varest_instance
-
         params = {"d": 4, "n_sphere": 30, "n_small": 60}
         head_maes, unif_maes = [], []
         for seed in range(12):
@@ -250,3 +239,98 @@ class TestEstimatorProperties:
         ]
         assert len(inversions) <= 1
         assert all(rel <= 0.05 for rel in inversions)
+
+
+# Per-pull reference implementations: each rebuilds, from a recorder log,
+# the regression the estimator would run with one row per pull.
+def _log_pulls(log, suffix=""):
+    pulls = [(a, y) for label, a, y in log if label.endswith(suffix)]
+    idx = np.array([a for a, _ in pulls], dtype=np.int64)
+    ys = np.array([y for _, y in pulls])
+    return idx, ys
+
+
+def _per_pull_head(inst, log):
+    X, phi = inst.arms, lift_arms(inst.arms)
+    idx1, y1 = _log_pulls(log, "/0")
+    rows1 = X[idx1]
+    theta = solve_psd(rows1.T @ rows1, rows1.T @ y1)
+    idx2, y2 = _log_pulls(log, "/1")
+    resid_sq = (y2 - X[idx2] @ theta) ** 2
+    coeffs, _, rank, _ = np.linalg.lstsq(phi[idx2], resid_sq, rcond=None)
+    return theta, coeffs, rank < phi.shape[1], False
+
+
+def _per_pull_uniform(inst, log):
+    X, phi = inst.arms, lift_arms(inst.arms)
+    idx, ys = _log_pulls(log)
+    rows = X[idx]
+    gram = rows.T @ rows
+    ridge_used = np.linalg.matrix_rank(gram) < inst.dimension
+    theta = solve_psd(gram, rows.T @ ys)
+    lrows = phi[idx]
+    resid_sq = (ys - rows @ theta) ** 2
+    lgram = lrows.T @ lrows
+    rank_deficient = np.linalg.matrix_rank(lgram) < phi.shape[1]
+    coeffs = solve_psd(lgram, lrows.T @ resid_sq)
+    return theta, coeffs, rank_deficient, ridge_used or rank_deficient
+
+
+def _per_pull_separate(inst, log):
+    phi = lift_arms(inst.arms)
+    chosen = greedy_spanning_subset(phi, phi.shape[1])
+    idx, ys = _log_pulls(log)
+    sample_vars = np.empty(len(chosen))
+    for pos, arm in enumerate(chosen):
+        obs = ys[idx == arm]
+        sample_vars[pos] = np.mean((obs - obs.mean()) ** 2)
+    return None, np.linalg.solve(phi[chosen], sample_vars), False, False
+
+
+class TestPerPullEquivalence:
+    """Sufficient-statistic estimators match the one-row-per-pull regressions."""
+
+    ESTIMATORS = {
+        "head": (lambda inst, env, seed: head_estimate(inst, env, 4000), _per_pull_head),
+        "uniform": (
+            lambda inst, env, seed: uniform_estimate(inst, env, 4000, rng_seed=seed),
+            _per_pull_uniform,
+        ),
+        "separate_arm": (
+            lambda inst, env, seed: separate_arm_estimate(inst, env, 4000),
+            _per_pull_separate,
+        ),
+    }
+
+    def _check(self, inst, est, reference, log):
+        theta, coeffs, rank_deficient, ridge_used = reference(inst, log)
+        if theta is None:
+            assert est.theta_hat is None
+        else:
+            assert np.allclose(est.theta_hat, theta, rtol=0, atol=1e-10)
+        assert np.allclose(vech(est.sigma_hat_matrix), coeffs, rtol=0, atol=1e-10)
+        per_arm = np.clip(lift_arms(inst.arms) @ coeffs, inst.sigma_min_sq, inst.sigma_max_sq)
+        assert np.allclose(est.per_arm, per_arm, rtol=0, atol=1e-10)
+        assert est.rank_deficient == rank_deficient
+        assert est.ridge_used == ridge_used
+
+    @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_pull_regression(self, kind, seed):
+        inst = build_varest_instance({"d": 4, "n_sphere": 30, "n_small": 60}, seed)
+        log: list = []
+        env = Environment.from_instance(inst, seed=seed, recorder=log)
+        estimate, reference = self.ESTIMATORS[kind]
+        est = estimate(inst, env, seed)
+        assert len(log) == est.budget_used
+        self._check(inst, est, reference, log)
+
+    def test_head_rank_deficient_lift_keeps_min_norm(self):
+        # Basis arms lift onto the diagonal only, so the stage-2 pulls span
+        # three of the six lift directions.
+        inst = basis_instance()
+        log: list = []
+        env = Environment.from_instance(inst, seed=4, recorder=log)
+        est = head_estimate(inst, env, 600)
+        assert est.rank_deficient
+        self._check(inst, est, _per_pull_head, log)
