@@ -16,7 +16,6 @@ from .core import (
     SingularInformation,
     SpanViolation,
     VarianceEstimate,
-    clamp_variance,
     info_matrix,
     lift_arms,
     lift_phi,
@@ -75,7 +74,6 @@ __all__ = [
     "VarEstTask",
     "VarianceEstimate",
     "build_preset",
-    "clamp_variance",
     "emit_design_table",
     "gap_delta",
     "head_budget_for_half",

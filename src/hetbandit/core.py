@@ -163,6 +163,25 @@ def greedy_spanning_subset(vectors: np.ndarray, size: int) -> list[int]:
     return chosen
 
 
+def _cholesky_ridged(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of symmetric PSD ``A``, with a ridge fallback.
+
+    The fallback factors ``A`` plus 1e-10 * trace(A)/k on the diagonal; if
+    that still fails, raises :class:`SingularInformation`.
+    """
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        k = A.shape[0]
+        ridge = 1e-10 * np.trace(A) / k
+        try:
+            if ridge <= 0:
+                raise np.linalg.LinAlgError
+            return np.linalg.cholesky(A + ridge * np.eye(k))
+        except np.linalg.LinAlgError:
+            raise SingularInformation(float(np.linalg.eigvalsh(A).min())) from None
+
+
 def solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric PD A via Cholesky, with a ridge fallback.
 
@@ -171,17 +190,7 @@ def solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    try:
-        c = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        k = A.shape[0]
-        ridge = 1e-10 * np.trace(A) / k
-        try:
-            if ridge <= 0:
-                raise np.linalg.LinAlgError
-            c = np.linalg.cholesky(A + ridge * np.eye(k))
-        except np.linalg.LinAlgError:
-            raise SingularInformation(float(np.linalg.eigvalsh(A).min())) from None
+    c = _cholesky_ridged(A)
     z = np.linalg.solve(c, b)
     return np.linalg.solve(c.T, z)
 
@@ -194,11 +203,6 @@ def quad_form_inv(A: np.ndarray, v: np.ndarray) -> float:
         raise DimensionMismatch("A must be k x k and v length k")
     val = float(v @ solve_psd(A, v))
     return max(val, 0.0)
-
-
-def clamp_variance(raw: float, inst: "HeteroInstance") -> float:
-    """Project a raw variance estimate into the instance's known bounds."""
-    return float(min(max(raw, inst.sigma_min_sq), inst.sigma_max_sq))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
-"""Frank-Wolfe solver for weighted minimax designs, plus integer rounding.
+"""Certified solver for weighted minimax designs, plus integer rounding.
 
 The problem solved here: over the probability simplex on a finite set of
 sample vectors, minimize the worst predictive variance
 ``max_v v' A(lam)^{-1} v`` where ``A(lam) = sum_x lam_x x x' / var_x``.
 Evaluation vectors may differ from the sample vectors (transductive case),
 but must lie in their span.
+
+Certified solves come from two engines: the multiplicative D-optimal path
+for self-evaluating constant-variance problems, whose optimum is known, and
+the exponentiated-gradient primal-dual engine for everything else. Each
+factors the information matrix ``A`` once per step. A Frank-Wolfe loop
+polishes what neither engine certifies.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .core import (
     SingularInformation,
     SpanViolation,
     _as_matrix,
+    _cholesky_ridged,
     greedy_spanning_subset,
     solve_psd,
 )
@@ -103,6 +110,19 @@ def _psd_solve_cond(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray | None, fl
     diag = np.diagonal(c)
     cond = float((diag.max() / diag.min()) ** 2)
     return np.linalg.solve(c.T, np.linalg.solve(c, B)), cond
+
+
+def _psd_inverse_cond(A: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """``A^-1`` from one Cholesky factor, plus the condition proxy of
+    :func:`_psd_solve_cond`; ``(None, inf)`` when the factorization fails."""
+    try:
+        c = np.linalg.cholesky(A)
+        c_inv = np.linalg.inv(c)
+    except np.linalg.LinAlgError:
+        return None, math.inf
+    diag = c.diagonal()
+    cond = float((diag.max() / diag.min()) ** 2)
+    return c_inv.T @ c_inv, cond
 
 
 def _dual_lower_bound(
@@ -266,10 +286,12 @@ def _d_optimal_warmstart(X, prec, target, tolerance, iters=3000):
     for _ in range(iters):
         A = (X * (lam * prec)[:, None]).T @ X
         try:
-            C = solve_psd(A, X.T)
+            c = _cholesky_ridged(A)
         except SingularInformation:
             break
-        quads = np.einsum("ij,ji->i", X, C)
+        # x' A^-1 x is the squared norm of L^-1 x.
+        root = X @ np.linalg.inv(c).T
+        quads = np.einsum("ij,ij->i", root, root)
         f = float(quads.max())
         if not np.isfinite(f) or f <= 0:
             break
@@ -292,7 +314,11 @@ def _eg_dual_solve(X, V, prec, tolerance, outers=80, inner_steps=50):
     The dual function (inner trace criterion minimized over designs) is
     concave in the mixture; its supergradient is the vector of quadratic
     forms at the inner-optimal design. Warm-starting the inner iteration
-    across outer steps makes each outer step cheap. Returns
+    across outer steps makes each outer step cheap. Every step, inner or
+    outer, factors its information matrix ``A`` once and works with the
+    explicit ``A^-1``: the inner step needs ``A^-1 M A^-1`` for the mixed
+    matrix ``M``, the outer step also the quadratic forms ``v' A^-1 v``, and
+    its condition proxy gates both the dual bound and the incumbent. Returns
     ``(bound, best_design, best_value, certified)``.
     """
     n, r = X.shape
@@ -305,12 +331,10 @@ def _eg_dual_solve(X, V, prec, tolerance, outers=80, inner_steps=50):
         mixed = (V * mu[:, None]).T @ V
         for _ in range(inner_steps):
             A = (X * (lam * prec)[:, None]).T @ X
-            half, _ = _psd_solve_cond(A, mixed)
-            if half is None:
+            A_inv, _ = _psd_inverse_cond(A)
+            if A_inv is None:
                 break
-            inner, _ = _psd_solve_cond(A, half.T)
-            if inner is None:
-                break
+            inner = A_inv @ mixed @ A_inv
             t = prec * np.einsum("ij,ij->i", X @ inner, X)
             phi = float(np.sum(A * inner))
             if not np.isfinite(phi) or phi <= 0:
@@ -323,25 +347,21 @@ def _eg_dual_solve(X, V, prec, tolerance, outers=80, inner_steps=50):
             lam /= total
 
         A = (X * (lam * prec)[:, None]).T @ X
-        half, cond_a = _psd_solve_cond(A, mixed)
-        if half is None:
+        A_inv, cond = _psd_inverse_cond(A)
+        if A_inv is None:
             break
-        inner, cond_b = _psd_solve_cond(A, half.T)
-        if inner is None:
-            break
+        inner = A_inv @ mixed @ A_inv
         t = prec * np.einsum("ij,ij->i", X @ inner, X)
         phi = float(np.sum(A * inner))
-        if max(cond_a, cond_b) <= BOUND_COND_LIMIT and np.isfinite(phi):
+        if cond <= BOUND_COND_LIMIT and np.isfinite(phi):
             best_bound = max(best_bound, phi + float(lam @ t) - float(t.max()))
 
-        C, cond_c = _psd_solve_cond(A, V.T)
-        if C is None:
-            break
+        C = A_inv @ V.T
         quads = np.einsum("mr,rm->m", V, C)
         f = float(quads.max())
         if not np.isfinite(f) or f <= 0:
             break
-        if f < best_value and cond_c <= BOUND_COND_LIMIT * 1e4:
+        if f < best_value and cond <= BOUND_COND_LIMIT * 1e4:
             best_value, best_lam = f, lam.copy()
         if best_value <= best_bound * (1.0 + tolerance):
             return best_bound, best_lam, best_value, True
@@ -418,10 +438,15 @@ def _solve_design(problem: DesignProblem) -> Design:
     if m == 0:
         raise ValueError("need at least one evaluation vector")
 
-    lam = np.zeros(n)
-    init = greedy_spanning_subset(X, r)
-    lam[init] = 1.0 / len(init)
-    best_lam = lam.copy()
+    def greedy_start() -> np.ndarray:
+        # Uniform on a well-conditioned spanning subset; built only on the
+        # paths that read it, since certified engine solves never do.
+        start = np.zeros(n)
+        init = greedy_spanning_subset(X, r)
+        start[init] = 1.0 / len(init)
+        return start
+
+    lam = best_lam = None
     best_value = math.inf
     # Self-evaluating constant-variance problems have a known optimum (the
     # equivalence theorem): the span dimension times the common variance.
@@ -442,7 +467,7 @@ def _solve_design(problem: DesignProblem) -> Design:
         certified = best_value <= best_bound * (1.0 + problem.tolerance)
     elif problem._self_eval:
         lam, warm_value = _multiplicative_warmstart(
-            X, V, prec, lam, problem.tolerance, iters=min(200, problem.max_iters)
+            X, V, prec, greedy_start(), problem.tolerance, iters=min(200, problem.max_iters)
         )
         lam = np.maximum(lam, 0.0)
         lam /= lam.sum()
@@ -460,6 +485,11 @@ def _solve_design(problem: DesignProblem) -> Design:
             best_value, best_lam = eg_value, eg_lam.copy()
             lam = eg_lam.copy()
         certified = eg_certified or best_value <= best_bound * (1.0 + problem.tolerance)
+    if best_lam is None:
+        # No engine reached a finite value: fall back on the spanning start.
+        best_lam = greedy_start()
+    if lam is None:
+        lam = best_lam.copy()
     fw_grid = np.geomspace(1e-6, 0.999, 24)
     away_frac = np.geomspace(1e-4, 1.0, 16)
     worst_freq = np.zeros(m)

@@ -8,7 +8,6 @@ from hetbandit import (
     DimensionMismatch,
     HeteroInstance,
     SingularInformation,
-    clamp_variance,
     info_matrix,
     lift_arms,
     lift_phi,
@@ -17,6 +16,7 @@ from hetbandit import (
     vech,
 )
 from hetbandit.core import solve_psd
+from hetbandit.varest import _clamp_all
 
 
 def random_symmetric(rng, d):
@@ -150,14 +150,14 @@ def _unit_instance():
 class TestClampVariance:
     @pytest.mark.parametrize("raw,expected", [(-3.0, 0.1), (2.0, 2.0), (9.0, 4.0)])
     def test_cases(self, raw, expected):
-        assert clamp_variance(raw, _unit_instance()) == expected
+        assert _clamp_all(np.array([raw]), _unit_instance()).tolist() == [expected]
 
     @settings(max_examples=50, deadline=None)
-    @given(st.floats(-100, 100))
+    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=5))
     def test_idempotent(self, raw):
         inst = _unit_instance()
-        once = clamp_variance(raw, inst)
-        assert clamp_variance(once, inst) == once
+        once = _clamp_all(np.array(raw), inst)
+        assert np.array_equal(_clamp_all(once, inst), once)
 
 
 class TestHeteroInstance:

@@ -1,4 +1,5 @@
 import gc
+import math
 import sys
 import threading
 import weakref
@@ -9,10 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_minimax_value
-from hetbandit import DesignProblem, SpanViolation, round_design, solve_design
+from hetbandit import (
+    DesignProblem,
+    ExperimentConfig,
+    SpanViolation,
+    build_preset,
+    round_design,
+    solve_design,
+)
 from hetbandit import design as design_module
 from hetbandit.core import quad_form_inv
-from hetbandit.design import MEMO_SIZE, _solve_design
+from hetbandit.design import MEMO_SIZE, _psd_inverse_cond, _psd_solve_cond, _solve_design
 
 
 def kw_problem(arms, tolerance=1e-3):
@@ -113,6 +121,106 @@ class TestSolveDesign:
             DesignProblem(np.eye(2), np.eye(2), tolerance=0.0)
         with pytest.raises(Exception):
             DesignProblem(np.eye(2), np.eye(3))
+
+
+def random_spd(rng, k):
+    g = rng.standard_normal((k, k + 2))
+    return g @ g.T + 0.1 * np.eye(k)
+
+
+class TestPsdInverse:
+    def test_matches_numpy_inverse(self):
+        rng = np.random.default_rng(17)
+        for k in (1, 2, 3, 4, 7, 12):
+            a = random_spd(rng, k)
+            a_inv, _ = _psd_inverse_cond(a)
+            expected = np.linalg.inv(a)
+            assert np.linalg.norm(a_inv - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_condition_proxy_matches_solve(self):
+        rng = np.random.default_rng(18)
+        for k in (2, 4, 9):
+            a = random_spd(rng, k)
+            _, cond = _psd_inverse_cond(a)
+            _, solve_cond = _psd_solve_cond(a, np.eye(k))
+            assert cond == solve_cond
+
+    def test_singular_psd(self):
+        for a in (np.ones((2, 2)), np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0])):
+            assert _psd_inverse_cond(a) == (None, math.inf)
+            assert _psd_solve_cond(a, np.eye(a.shape[0])) == (None, math.inf)
+
+
+class TestSolveDesignPinned:
+    """Weights and values of two certified solves, as computed before the
+    engines factored each information matrix only once per step."""
+
+    def test_example1_hrage_round(self):
+        # Round 2 of an H-RAGE run on example1: six arms still active, with
+        # the burn-in variance estimates as weights.
+        arms = build_preset(ExperimentConfig("example1")).instance.arms
+        active = arms[[0, 4, 5, 6, 7, 8]]
+        iu, ju = np.triu_indices(active.shape[0], k=1)
+        variances = [
+            0.9556498000478895, 0.9566403625143718, 0.16980203844239408,
+            0.16896311864239094, 1.0, 0.9980605277551038, 0.9311481089437686,
+            0.5793892044281415, 0.5393462861808552,
+        ]
+        design = _solve_design(
+            DesignProblem(arms, active[iu] - active[ju], variances=variances, tolerance=1e-2)
+        )
+        pinned = [
+            0.41495269440605786, 0.41358469804858883, 0.0858450502499384,
+            0.08560567143836206, 0.0, 0.0, 1.1885857052892691e-05, 0.0, 0.0,
+        ]
+        assert design.certified
+        np.testing.assert_allclose(design.weights, pinned, rtol=0, atol=1e-7)
+        assert design.value == pytest.approx(1.40098751299929, rel=1e-7)
+
+    def test_weighted_three_arms(self):
+        arms = np.array([[1.0, 0.0], [0.0, 1.0], [np.cos(0.5), np.sin(0.5)]])
+        diffs = np.array([arms[0] - arms[1], arms[0] - arms[2]])
+        design = _solve_design(
+            DesignProblem(arms, diffs, variances=np.array([1.0, 4.0, 0.5]), tolerance=1e-3)
+        )
+        assert design.certified
+        np.testing.assert_allclose(
+            design.weights, [0.3333052658170322, 0.6666947341829678, 0.0], rtol=0, atol=1e-7
+        )
+        assert design.value == pytest.approx(9.000000031906655, rel=1e-7)
+
+
+class GreedyCalled(Exception):
+    pass
+
+
+class TestGreedyStartOnDemand:
+    @pytest.fixture
+    def no_greedy(self, monkeypatch):
+        def refuse(vectors, size):
+            raise GreedyCalled
+
+        monkeypatch.setattr(design_module, "greedy_spanning_subset", refuse)
+
+    def test_d_optimal_skips_it(self, no_greedy):
+        arms = np.random.default_rng(6).standard_normal((10, 3))
+        design = _solve_design(kw_problem(arms))
+        assert design.certified
+        assert design.value == pytest.approx(3.0, rel=1e-3)
+
+    def test_certified_transductive_skips_it(self, no_greedy):
+        rng = np.random.default_rng(9)
+        arms = rng.standard_normal((8, 3))
+        variances = rng.uniform(0.5, 2.0, size=8)
+        design = _solve_design(
+            DesignProblem(arms, arms[:4] - arms[4:], variances=variances, tolerance=1e-3)
+        )
+        assert design.certified
+
+    def test_weighted_self_evaluating_reads_it(self, no_greedy):
+        arms = np.random.default_rng(10).standard_normal((6, 2))
+        with pytest.raises(GreedyCalled):
+            _solve_design(DesignProblem(arms, arms, variances=np.linspace(0.5, 2.0, 6)))
 
 
 def memo_problem(seed=31, **kwargs):
