@@ -18,6 +18,10 @@ NOISE_MODES = ("gaussian", "silent")
 
 
 class Environment:
+    # Callers may keep many environments (one per run), so no per-instance dict.
+    __slots__ = ("arms", "theta_star", "sigma_star", "noise_mode", "recorder", "label",
+                 "_seed_seq", "_rng", "pull_count")
+
     def __init__(
         self,
         arms,
@@ -37,9 +41,6 @@ class Environment:
         self.noise_mode = noise_mode
         self.recorder = recorder
         self.label = label
-        self._means = self.arms @ self.theta_star
-        var = np.einsum("ij,jk,ik->i", self.arms, self.sigma_star, self.arms)
-        self._stds = np.sqrt(np.maximum(var, 0.0))
         self._seed_seq = _seed_seq if _seed_seq is not None else np.random.SeedSequence(seed)
         self._rng = np.random.Generator(np.random.Philox(self._seed_seq))
         self.pull_count = 0
@@ -81,6 +82,12 @@ class Environment:
             )
         return children
 
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-arm means and noise standard deviations, computed per call
+        rather than kept on every environment."""
+        var = np.einsum("ij,jk,ik->i", self.arms, self.sigma_star, self.arms)
+        return self.arms @ self.theta_star, np.sqrt(np.maximum(var, 0.0))
+
     def _check_index(self, arm_index: int):
         if not 0 <= arm_index < self.arms.shape[0]:
             raise IndexError(f"arm index {arm_index} out of range")
@@ -88,9 +95,10 @@ class Environment:
     def sample(self, arm_index: int) -> float:
         """One noisy observation of the indexed arm."""
         self._check_index(arm_index)
-        y = self._means[arm_index]
+        means, stds = self._moments()
+        y = means[arm_index]
         if self.noise_mode == "gaussian":
-            y = y + self._stds[arm_index] * self._rng.standard_normal()
+            y = y + stds[arm_index] * self._rng.standard_normal()
         self.pull_count += 1
         if self.recorder is not None:
             self.recorder.append((self.label, arm_index, float(y)))
@@ -102,13 +110,14 @@ class Environment:
         Returns parallel arrays of arm indices and observations, one entry
         per pull.
         """
+        means, stds = self._moments()
         idx_parts, y_parts = [], []
         for arm, count in enumerate(schedule.counts):
             if count <= 0:
                 continue
-            mu = self._means[arm]
+            mu = means[arm]
             if self.noise_mode == "gaussian":
-                ys = mu + self._stds[arm] * self._rng.standard_normal(count)
+                ys = mu + stds[arm] * self._rng.standard_normal(count)
             else:
                 ys = np.full(count, mu)
             idx_parts.append(np.full(count, arm, dtype=np.int64))
@@ -132,15 +141,16 @@ class Environment:
         materializing every pull. Counts are returned as floats to survive
         very large budgets.
         """
+        means, stds = self._moments()
         counts = np.zeros(self.arms.shape[0])
         sums = np.zeros(self.arms.shape[0])
         for arm, count in enumerate(schedule.counts):
             if count <= 0:
                 continue
             counts[arm] = float(count)
-            total_mean = float(count) * self._means[arm]
+            total_mean = float(count) * means[arm]
             if self.noise_mode == "gaussian":
-                sums[arm] = total_mean + math.sqrt(count) * self._stds[arm] * self._rng.standard_normal()
+                sums[arm] = total_mean + math.sqrt(count) * stds[arm] * self._rng.standard_normal()
             else:
                 sums[arm] = total_mean
         self.pull_count += schedule.total

@@ -72,7 +72,8 @@ def gap_delta(task: IdentTask) -> float:
     return float(np.min(np.abs(values - task.alpha)))
 
 
-@dataclass(frozen=True)
+# Callers may keep one record per round of every run, so no per-instance dict.
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     round_index: int
     epsilon: float
@@ -83,7 +84,7 @@ class RoundRecord:
     active_indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunTrace:
     """Per-round log of an identification run plus the final answer."""
 
@@ -109,7 +110,15 @@ class RunConfig:
 
 
 def wls_estimate(xs, ys, weights=None) -> np.ndarray:
-    """Weighted least squares (X'WX)^{-1} X'Wy; identity weights give OLS."""
+    """Weighted least squares ``argmin sum_i w_i (x_i' theta - y_i)^2``;
+    identity weights give OLS.
+
+    Solved by ``lstsq`` on the root-weighted rows rather than the normal
+    equations, so when the rows span less than the space (a sparse design
+    whose support is rank deficient) the minimum-norm solution comes back
+    and every ``v' theta`` with ``v`` in the row span is still estimated
+    accurately.
+    """
     X = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64).ravel()
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -120,8 +129,8 @@ def wls_estimate(xs, ys, weights=None) -> np.ndarray:
         w = np.asarray(weights, dtype=np.float64).ravel()
         if w.shape != y.shape:
             raise DimensionMismatch("need one weight per observation")
-    Xw = X * w[:, None]
-    return solve_psd(Xw.T @ X, Xw.T @ y)
+    root = np.sqrt(w)
+    return np.linalg.lstsq(X * root[:, None], y * root, rcond=None)[0]
 
 
 def _difference_directions(targets: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -135,15 +144,6 @@ def _difference_directions(targets: np.ndarray, active: np.ndarray) -> np.ndarra
 def round_budget(epsilon: float, design_value: float, n_targets: int, delta: float, ell: int, scale: float) -> float:
     """Per-round sample budget: scale * eps^-2 * q * log(8 ell^2 |Z| / delta)."""
     return scale * design_value / epsilon**2 * math.log(8 * ell**2 * n_targets / delta)
-
-
-def _weighted_theta(env_counts, env_sums, arms, precisions) -> np.ndarray:
-    mask = env_counts > 0
-    Xs = arms[mask]
-    scale = (env_counts[mask] * precisions[mask])[:, None]
-    A = (Xs * scale).T @ Xs
-    b = Xs.T @ (env_sums[mask] * precisions[mask])
-    return solve_psd(A, b)
 
 
 def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weighted: bool) -> RunTrace:
@@ -168,6 +168,8 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
     precisions = 1.0 / sigma_sq
 
     active = np.arange(n_targets)
+    # Shared by the records of consecutive rounds with the same active set.
+    active_indices = tuple(range(n_targets))
     in_good: set[int] = set()
     rounds: list[RoundRecord] = []
     total = burn_in
@@ -200,7 +202,9 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
         tau = round_budget(epsilon, design.value, n_targets, task.delta, ell, tau_scale)
         schedule = round_design(design, tau, "ceiling")
         counts, sums = env.sample_schedule_sums(schedule)
-        theta_hat = _weighted_theta(counts, sums, inst.arms, precisions)
+        pulled = counts > 0
+        theta_hat = wls_estimate(inst.arms[pulled], sums[pulled] / counts[pulled],
+                                 counts[pulled] * precisions[pulled])
 
         rounds.append(
             RoundRecord(
@@ -210,7 +214,7 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
                 active_size=int(active.size),
                 pulls=schedule.total,
                 design_value=design.value,
-                active_indices=tuple(int(i) for i in active),
+                active_indices=active_indices,
             )
         )
         total += schedule.total
@@ -224,6 +228,8 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
             to_bad = scores + epsilon < task.alpha
             in_good.update(int(i) for i in active[to_good])
             active = active[~(to_good | to_bad)]
+        if active.size < len(active_indices):
+            active_indices = tuple(int(i) for i in active)
 
     if task.objective == "bai":
         if active.size == 1:
@@ -316,7 +322,7 @@ def psi_star(
     """Minimax identification complexity and its worst-case counterpart.
 
     Scaling each direction by its gap turns the ratio objective into a plain
-    minimax design problem, solved by the same Frank-Wolfe routine. The
+    minimax design problem, solved by the same certified design solver. The
     weighted value uses the given per-arm variances (true model variances by
     default); the unweighted value times the variance upper bound gives the
     worst-case complexity.
@@ -402,9 +408,9 @@ def oracle_run(
             pulls = schedule.total
         total += pulls
 
-        theta_hat = _weighted_theta(counts, sums, inst.arms, precisions)
         mask = counts > 0
         Xs = inst.arms[mask]
+        theta_hat = wls_estimate(Xs, sums[mask] / counts[mask], counts[mask] * precisions[mask])
         A = (Xs * (counts[mask] * precisions[mask])[:, None]).T @ Xs
         quad = np.einsum("mr,rm->m", directions, solve_psd(A, directions.T))
         widths = np.sqrt(2.0 * width_scale * np.maximum(quad, 0.0) * log_term)

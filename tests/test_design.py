@@ -1,4 +1,5 @@
 import gc
+import logging
 import math
 import sys
 import threading
@@ -20,7 +21,12 @@ from hetbandit import (
 )
 from hetbandit import design as design_module
 from hetbandit.core import quad_form_inv
-from hetbandit.design import MEMO_SIZE, _psd_inverse_cond, _psd_solve_cond, _solve_design
+from hetbandit.design import (
+    MEMO_SIZE,
+    _design_value,
+    _psd_inverse_cond,
+    _solve_design,
+)
 
 
 def kw_problem(arms, tolerance=1e-3):
@@ -106,6 +112,23 @@ class TestSolveDesign:
         design = solve_design(DesignProblem(arms, arms, tolerance=1e-9, max_iters=3))
         assert not design.certified
 
+    def test_uncertified_solve_logs_its_gap(self, caplog):
+        rng = np.random.default_rng(2)
+        arms = rng.standard_normal((15, 4))
+        with caplog.at_level(logging.WARNING, logger="hetbandit"):
+            design = _solve_design(DesignProblem(arms, arms, tolerance=1e-9, max_iters=3))
+        assert not design.certified
+        records = [r for r in caplog.records if r.name == "hetbandit"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        gap = design.value / 4.0 - 1.0  # the known D-optimal bound is the rank
+        assert f"gap {gap:.3g}" in records[0].getMessage()
+
+    def test_certified_solve_logs_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="hetbandit"):
+            assert _solve_design(DesignProblem(np.eye(2), [[1.0, 1.0]])).certified
+        assert not [r for r in caplog.records if r.name == "hetbandit"]
+
     def test_support_pruned(self):
         rng = np.random.default_rng(4)
         arms = rng.standard_normal((20, 3))
@@ -138,44 +161,51 @@ class TestPsdInverse:
             assert np.linalg.norm(a_inv - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_condition_proxy_matches_solve(self):
+        # The proxy is the squared ratio of the Cholesky factor's extreme pivots.
         rng = np.random.default_rng(18)
         for k in (2, 4, 9):
             a = random_spd(rng, k)
             _, cond = _psd_inverse_cond(a)
-            _, solve_cond = _psd_solve_cond(a, np.eye(k))
-            assert cond == solve_cond
+            pivots = np.diagonal(np.linalg.cholesky(a))
+            assert cond == float((pivots.max() / pivots.min()) ** 2)
+            assert 1.0 <= cond <= np.linalg.cond(a) * (1 + 1e-12)
 
     def test_singular_psd(self):
         for a in (np.ones((2, 2)), np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0])):
             assert _psd_inverse_cond(a) == (None, math.inf)
-            assert _psd_solve_cond(a, np.eye(a.shape[0])) == (None, math.inf)
 
 
-class TestSolveDesignPinned:
-    """Weights and values of two certified solves, as computed before the
-    engines factored each information matrix only once per step."""
-
-    def test_example1_hrage_round(self):
-        # Round 2 of an H-RAGE run on example1: six arms still active, with
-        # the burn-in variance estimates as weights.
-        arms = build_preset(ExperimentConfig("example1")).instance.arms
-        active = arms[[0, 4, 5, 6, 7, 8]]
-        iu, ju = np.triu_indices(active.shape[0], k=1)
+def example1_round_problem(active_rows, variances=None, tolerance=1e-2):
+    """An H-RAGE round on example1: difference directions of the active arms,
+    with the burn-in variance estimates of one run as weights."""
+    arms = build_preset(ExperimentConfig("example1")).instance.arms
+    active = arms[active_rows]
+    iu, ju = np.triu_indices(active.shape[0], k=1)
+    if variances is None:
         variances = [
             0.9556498000478895, 0.9566403625143718, 0.16980203844239408,
             0.16896311864239094, 1.0, 0.9980605277551038, 0.9311481089437686,
             0.5793892044281415, 0.5393462861808552,
         ]
-        design = _solve_design(
-            DesignProblem(arms, active[iu] - active[ju], variances=variances, tolerance=1e-2)
-        )
-        pinned = [
-            0.41495269440605786, 0.41358469804858883, 0.0858450502499384,
-            0.08560567143836206, 0.0, 0.0, 1.1885857052892691e-05, 0.0, 0.0,
-        ]
+    return DesignProblem(arms, active[iu] - active[ju], variances=variances, tolerance=tolerance)
+
+
+class TestSolveDesignPinned:
+    """Two certified solves: within tolerance of the optimum pinned before
+    the floored engine, in both directions, and pinned to its own output."""
+
+    def test_example1_hrage_round(self):
+        # Round 2 of an H-RAGE run on example1: six arms still active.
+        design = _solve_design(example1_round_problem([0, 4, 5, 6, 7, 8]))
         assert design.certified
+        assert abs(design.value / 1.40098751299929 - 1.0) <= 1e-2
+        pinned = [
+            0.3512251842401987, 0.413703536903358, 0.08632223187465915,
+            0.08749395636305592, 1.118507280639597e-05, 1.1400507428898307e-05,
+            0.06123250503849303, 0.0, 0.0,
+        ]
         np.testing.assert_allclose(design.weights, pinned, rtol=0, atol=1e-7)
-        assert design.value == pytest.approx(1.40098751299929, rel=1e-7)
+        assert design.value == pytest.approx(1.4023839397440623, rel=1e-7)
 
     def test_weighted_three_arms(self):
         arms = np.array([[1.0, 0.0], [0.0, 1.0], [np.cos(0.5), np.sin(0.5)]])
@@ -184,43 +214,117 @@ class TestSolveDesignPinned:
             DesignProblem(arms, diffs, variances=np.array([1.0, 4.0, 0.5]), tolerance=1e-3)
         )
         assert design.certified
+        assert abs(design.value / 9.000000031906655 - 1.0) <= 1e-3
         np.testing.assert_allclose(
-            design.weights, [0.3333052658170322, 0.6666947341829678, 0.0], rtol=0, atol=1e-7
+            design.weights, [0.33330742043172434, 0.6666925795682757, 0.0], rtol=0, atol=1e-7
         )
-        assert design.value == pytest.approx(9.000000031906655, rel=1e-7)
+        assert design.value == pytest.approx(9.000000027195938, rel=1e-7)
 
 
-class GreedyCalled(Exception):
+class EngineCalled(Exception):
     pass
 
 
-class TestGreedyStartOnDemand:
-    @pytest.fixture
-    def no_greedy(self, monkeypatch):
-        def refuse(vectors, size):
-            raise GreedyCalled
+class TestSolvePaths:
+    def test_d_optimal_skips_the_engine(self, monkeypatch):
+        def refuse(*args):
+            raise EngineCalled
 
-        monkeypatch.setattr(design_module, "greedy_spanning_subset", refuse)
-
-    def test_d_optimal_skips_it(self, no_greedy):
+        monkeypatch.setattr(design_module, "_floored_eg_solve", refuse)
         arms = np.random.default_rng(6).standard_normal((10, 3))
         design = _solve_design(kw_problem(arms))
         assert design.certified
         assert design.value == pytest.approx(3.0, rel=1e-3)
 
-    def test_certified_transductive_skips_it(self, no_greedy):
-        rng = np.random.default_rng(9)
-        arms = rng.standard_normal((8, 3))
-        variances = rng.uniform(0.5, 2.0, size=8)
-        design = _solve_design(
-            DesignProblem(arms, arms[:4] - arms[4:], variances=variances, tolerance=1e-3)
-        )
-        assert design.certified
+    def test_weighted_self_evaluating_uses_the_engine(self, monkeypatch):
+        def refuse(*args):
+            raise EngineCalled
 
-    def test_weighted_self_evaluating_reads_it(self, no_greedy):
+        monkeypatch.setattr(design_module, "_floored_eg_solve", refuse)
         arms = np.random.default_rng(10).standard_normal((6, 2))
-        with pytest.raises(GreedyCalled):
+        with pytest.raises(EngineCalled):
             _solve_design(DesignProblem(arms, arms, variances=np.linspace(0.5, 2.0, 6)))
+
+    def test_sparse_weights_returned_when_they_certify(self):
+        # The single-direction problem has a singular optimum: all weight on e1.
+        design = _solve_design(DesignProblem(np.eye(2), [[0.1, 0.0]], max_iters=50))
+        assert design.certified
+        assert np.array_equal(design.weights, [1.0, 0.0])
+        assert design.value == pytest.approx(0.01, rel=1e-12)
+
+    def test_floored_design_returned_when_sparse_does_not_certify(self):
+        rng = np.random.default_rng(50)
+        arms = rng.standard_normal((4, 2))
+        diffs = np.array([arms[0] - arms[1], arms[0] - arms[2]])
+        variances = rng.uniform(0.5, 2.0, 4)
+        tolerance = 1e-2
+        design = _solve_design(DesignProblem(arms, diffs, variances=variances, tolerance=tolerance))
+        assert design.certified
+        assert design.support_size == 4
+        # Every arm keeps the floor eta / n with eta = tolerance / 3.
+        assert design.weights.min() >= tolerance / 3 / 4 * (1 - 1e-12)
+        oracle = grid_minimax_value(arms, diffs, variances, step=1e-2)
+        assert design.value <= oracle * (1 + tolerance)
+
+    def test_value_on_span_of_support(self):
+        X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        prec = np.array([1.0, 0.5, 1.0])
+        lam = np.array([0.25, 0.75, 0.0])
+        inside = np.array([[1.0, -1.0, 0.0]])
+        # A restricted to the first two axes is diag(0.25, 0.375).
+        assert _design_value(X, inside, prec, lam) == pytest.approx(4.0 + 1.0 / 0.375)
+        assert _design_value(X, np.array([[0.0, 0.0, 1.0]]), prec, lam) == math.inf
+
+
+def pinv_value(arms, evals, variances, weights):
+    """max_v v' A(w)^+ v from an eigendecomposition, independent of the solver."""
+    A = (arms * (weights / variances)[:, None]).T @ arms
+    eig, vecs = np.linalg.eigh(A)
+    keep = eig > eig.max() * 1e-12
+    coords = evals @ vecs
+    assert np.abs(coords[:, ~keep]).max(initial=0.0) <= 1e-9
+    return float(((coords[:, keep] ** 2) / eig[keep]).sum(axis=1).max())
+
+
+class TestSingularOptimum:
+    """Evaluation directions spanning less than the arms: the optimal design
+    leaves the information matrix singular."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.sampled_from([1e-2, 1e-3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_certified_value_within_tolerance_of_grid(self, n_arms, n_evals, tolerance, seed):
+        rng = np.random.default_rng(seed)
+        arms = rng.standard_normal((n_arms, 2))
+        if n_arms == 3:
+            arms = np.hstack([arms, rng.standard_normal((3, 1))])
+        # Every direction is a multiple of one vector in the arms' span.
+        direction = rng.standard_normal(n_arms) @ arms
+        evals = rng.uniform(0.2, 2.0, size=(n_evals, 1)) * direction
+        variances = rng.uniform(0.5, 2.0, size=n_arms)
+        design = _solve_design(DesignProblem(arms, evals, variances=variances, tolerance=tolerance))
+        assert design.certified
+        assert design.value == pytest.approx(pinv_value(arms, evals, variances, design.weights),
+                                             rel=1e-9)
+        grid = grid_minimax_value(arms, evals, variances, step=1e-3 if n_arms == 2 else 2e-3)
+        # The grid skips singular designs, so its optimum sits slightly above
+        # the true one; the certified value may fall below it by that much.
+        assert grid * (1 - 5e-3) <= design.value <= grid * (1 + tolerance)
+
+    def test_one_ulp_change_of_variances(self):
+        # Three active arms of example1: difference directions of rank 2 in R^4.
+        rows = [0, 5, 6]
+        base = example1_round_problem(rows)
+        nudged = base.variances.copy()
+        nudged[2] = np.nextafter(nudged[2], np.inf)
+        one = _solve_design(base)
+        two = _solve_design(example1_round_problem(rows, variances=nudged))
+        assert one.certified and two.certified
+        assert abs(one.value / two.value - 1.0) <= base.tolerance
 
 
 def memo_problem(seed=31, **kwargs):

@@ -59,6 +59,16 @@ class TestWls:
         expected = np.linalg.solve((xs * w[:, None]).T @ xs, (xs * w[:, None]).T @ ys)
         assert np.allclose(wls_estimate(xs, ys, weights=w), expected, rtol=1e-9)
 
+    def test_rank_deficient_rows_give_min_norm_fit(self):
+        # Two pulled arms in R^4, as a sparse design with a singular optimum
+        # leaves them: only directions in their span are identified.
+        xs = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
+        ys = np.array([0.015, 0.02])
+        w = np.array([4.0e6, 2.5e6])
+        theta = wls_estimate(xs, ys, weights=w)
+        np.testing.assert_allclose(theta, np.linalg.pinv(xs) @ ys, rtol=0, atol=1e-15)
+        assert (xs[0] - xs[1]) @ theta == pytest.approx(-0.005, rel=1e-12)
+
 
 class TestTaskAndGap:
     def test_two_arm_gap(self):
