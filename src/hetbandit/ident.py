@@ -106,7 +106,6 @@ class RunConfig:
     c_prime: float = DEFAULT_C_PRIME
     fw_tol: float = 1e-2
     max_rounds: int = 40
-    head_fw_tol: float = 1e-2
 
 
 def wls_estimate(xs, ys, weights=None) -> np.ndarray:
@@ -158,7 +157,7 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
 
     if weighted:
         gamma = head_budget_for_half(inst, task.delta, config.c_prime)
-        estimate = head_estimate(inst, env, gamma, fw_tol=config.head_fw_tol)
+        estimate = head_estimate(inst, env, gamma, fw_tol=config.fw_tol)
         sigma_sq = np.asarray(estimate.per_arm)
         burn_in = estimate.budget_used
         tau_scale = 3.0

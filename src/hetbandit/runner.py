@@ -1,10 +1,17 @@
-"""Replication orchestration and CSV emission for the experiment presets."""
+"""Replication orchestration and CSV emission for the experiment presets.
+
+Each cell of a suite becomes one :class:`Record` of Python values; summary
+rows are computed from the unrounded records, and every row is formatted to
+CSV once. Fixed-arm presets (all but ``varest``) are built once per suite.
+"""
 
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,17 +23,29 @@ from .varest import head_estimate, mae, separate_arm_estimate, uniform_estimate
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "preset,algorithm,seed,metric_name,metric_value,correct,rounds,burn_in,wall_ms"
-
-IDENT_ALGORITHMS = ("hrage", "rage", "oracle-het", "oracle-hom")
-VAREST_ALGORITHMS = ("head", "uniform", "separate_arm")
+DESIGN_HEADER = "preset,sigma_source,arm_index,weight,sigma_sq"
 
 # Experiment drivers default to a practical burn-in constant; the theoretical
 # one is far too conservative to simulate and stays the library default.
 PRACTICAL_C_PRIME = 1.0
 
 
+class Record(NamedTuple):
+    """One CSV row as Python values; ``None`` leaves its column empty."""
+
+    preset: str
+    algorithm: str
+    seed: int | str
+    metric_name: str
+    metric_value: float
+    correct: bool | float | None = None
+    rounds: int | None = None
+    burn_in: int | None = None
+    wall_ms: int | None = None
+
+
 def _fmt(value) -> str:
-    if value is None or value == "":
+    if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -39,10 +58,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row(preset, algorithm, seed, metric_name, metric_value, correct="", rounds="", burn_in="", wall_ms="") -> str:
-    return ",".join(
-        _fmt(v) for v in (preset, algorithm, seed, metric_name, metric_value, correct, rounds, burn_in, wall_ms)
-    )
+def _row(fields) -> str:
+    return ",".join(_fmt(v) for v in fields)
 
 
 def _run_config(config: ExperimentConfig) -> RunConfig:
@@ -51,137 +68,90 @@ def _run_config(config: ExperimentConfig) -> RunConfig:
         c_prime=float(o.get("c_prime", PRACTICAL_C_PRIME)),
         fw_tol=float(o.get("fw_tol", 1e-2)),
         max_rounds=int(o.get("max_rounds", 40)),
-        head_fw_tol=float(o.get("head_fw_tol", 1e-2)),
     )
 
 
-def _ident_env(config: ExperimentConfig, rep: int, algo_index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(config.base_seed, spawn_key=(rep, algo_index))
+def _ident_fields(trace):
+    return "total_pulls", float(trace.total_pulls), trace.correct, len(trace.rounds), trace.burn_in_pulls
 
 
-def _run_ident_algorithm(bundle: PresetBundle, algorithm: str, env: Environment, run_cfg: RunConfig):
-    task = bundle.task
-    if algorithm == "hrage":
-        return hrage_run(task, env, run_cfg)
-    if algorithm == "rage":
-        return rage_run(task, env, run_cfg)
-    if algorithm == "oracle-het":
-        return oracle_run(task, env, "truth", variances=bundle.variances, config=run_cfg)
-    if algorithm == "oracle-hom":
-        return oracle_run(task, env, "max", config=run_cfg)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+def _cells(config: ExperimentConfig, rep: int, bundle: PresetBundle) -> list:
+    """``(algorithm, spawn key, run)`` per cell of replication ``rep``.
 
-
-def _run_one_seed(config: ExperimentConfig, rep: int) -> list[str]:
-    """All CSV rows for one replication seed, in a fixed algorithm order."""
-    rows: list[str] = []
-    bundle = build_preset(config, seed=_varest_instance_seed(config, rep))
-    run_cfg = _run_config(config)
-
-    if isinstance(bundle.task, VarEstTask):
-        algorithms = config.algorithms or VAREST_ALGORITHMS
-        estimators = {
-            "head": head_estimate,
-            "uniform": uniform_estimate,
-            "separate_arm": separate_arm_estimate,
+    ``run(env)`` returns the metric name, value, correct, rounds and burn-in
+    of the cell. The lambdas look the algorithms up in this module's globals
+    when they are called, so a patched name is the one that runs. The order
+    of ``runs`` is the default algorithm order.
+    """
+    task, inst, run_cfg = bundle.task, bundle.instance, _run_config(config)
+    if isinstance(task, VarEstTask):
+        runs = {
+            "head": lambda env, gamma: head_estimate(inst, env, gamma),
+            "uniform": lambda env, gamma: uniform_estimate(inst, env, gamma, rng_seed=rep),
+            "separate_arm": lambda env, gamma: separate_arm_estimate(inst, env, gamma),
         }
-        for algo_index, algo in enumerate(algorithms):
-            runner = estimators.get(algo)
-            if runner is None:
-                raise ConfigError(f"unknown estimator {algo!r}")
-            for b_index, gamma in enumerate(bundle.task.budgets):
-                seq = np.random.SeedSequence(
-                    config.base_seed, spawn_key=(rep, 1 + algo_index, b_index)
-                )
-                env = Environment(
-                    bundle.instance.arms,
-                    bundle.instance.theta_star,
-                    bundle.instance.sigma_star,
-                    _seed_seq=seq,
-                )
-                start = time.perf_counter()
-                try:
-                    if algo == "uniform":
-                        est = runner(bundle.instance, env, gamma, rng_seed=rep)
-                    else:
-                        est = runner(bundle.instance, env, gamma)
-                    wall = int(round((time.perf_counter() - start) * 1000))
-                    rows.append(
-                        _row(bundle.name, algo, rep, f"mae@{gamma}",
-                             mae(est, bundle.instance), "", "", est.budget_used, wall)
-                    )
-                except HetBanditError as exc:
-                    wall = int(round((time.perf_counter() - start) * 1000))
-                    rows.append(
-                        _row(bundle.name, algo, rep, f"error:{type(exc).__name__}",
-                             math.nan, False, "", "", wall)
-                    )
-        return rows
+    else:
+        runs = {
+            "hrage": lambda env: hrage_run(task, env, run_cfg),
+            "rage": lambda env: rage_run(task, env, run_cfg),
+            "oracle-het": lambda env: oracle_run(task, env, "truth", variances=bundle.variances, config=run_cfg),
+            "oracle-hom": lambda env: oracle_run(task, env, "max", config=run_cfg),
+        }
+    algorithms = config.algorithms or tuple(runs)
+    for algo in algorithms:
+        if algo not in runs:
+            raise ConfigError(f"unknown algorithm {algo!r}")
+    if not isinstance(task, VarEstTask):
+        return [(algo, (rep, a), lambda env, run=runs[algo]: _ident_fields(run(env)))
+                for a, algo in enumerate(algorithms)]
+    cells = []
+    for a, algo in enumerate(algorithms):
+        for b, gamma in enumerate(task.budgets):
+            def run(env, estimate=runs[algo], gamma=gamma):
+                est = estimate(env, gamma)
+                return f"mae@{gamma}", mae(est, inst), None, None, est.budget_used
+            cells.append((algo, (rep, 1 + a, b), run))
+    return cells
 
-    algorithms = config.algorithms or IDENT_ALGORITHMS
-    for algo_index, algo in enumerate(algorithms):
+
+def _run_one_seed(config: ExperimentConfig, rep: int, bundle: PresetBundle | None = None) -> list[Record]:
+    """Records of replication ``rep``'s cells, in a fixed algorithm order.
+    ``bundle`` is the suite's shared preset; None builds the replication's own."""
+    if bundle is None:
+        # A per-replication instance seed, independent of the noise streams.
+        seed = np.random.SeedSequence(config.base_seed, spawn_key=(rep, 0)).generate_state(1)[0]
+        bundle = build_preset(config, seed=int(seed))
+    inst = bundle.instance
+    records = []
+    for algo, spawn_key, run in _cells(config, rep, bundle):
         env = Environment(
-            bundle.instance.arms,
-            bundle.instance.theta_star,
-            bundle.instance.sigma_star,
-            _seed_seq=_ident_env(config, rep, algo_index),
+            inst.arms, inst.theta_star, inst.sigma_star,
+            _seed_seq=np.random.SeedSequence(config.base_seed, spawn_key=spawn_key),
         )
         start = time.perf_counter()
         try:
-            trace = _run_ident_algorithm(bundle, algo, env, run_cfg)
-            wall = int(round((time.perf_counter() - start) * 1000))
-            rows.append(
-                _row(bundle.name, algo, rep, "total_pulls", float(trace.total_pulls),
-                     trace.correct, len(trace.rounds), trace.burn_in_pulls, wall)
-            )
+            fields = run(env)
         except HetBanditError as exc:
-            wall = int(round((time.perf_counter() - start) * 1000))
-            rows.append(
-                _row(bundle.name, algo, rep, f"error:{type(exc).__name__}",
-                     math.nan, False, "", "", wall)
-            )
-    return rows
+            fields = (f"error:{type(exc).__name__}", math.nan, False, None, None)
+        wall = int(round((time.perf_counter() - start) * 1000))
+        records.append(Record(bundle.name, algo, rep, *fields, wall))
+    return records
 
 
-def _varest_instance_seed(config: ExperimentConfig, rep: int) -> int:
-    # Stable per-replication instance seed, independent of the noise streams.
-    return int(np.random.SeedSequence(config.base_seed, spawn_key=(rep, 0)).generate_state(1)[0])
-
-
-def _summary_rows(rows: list[str]) -> list[str]:
-    """Mean and standard-error rows per (preset, algorithm, metric)."""
-    parsed: dict[tuple[str, str, str], list[tuple[float, str, float, float]]] = {}
-    order: list[tuple[str, str, str]] = []
-    for row in rows:
-        preset, algo, _seed, metric, value, correct, rounds, burn_in, _wall = row.split(",")
-        if metric.startswith("error:"):
-            continue
-        key = (preset, algo, metric)
-        if key not in parsed:
-            parsed[key] = []
-            order.append(key)
-        parsed[key].append(
-            (
-                float(value),
-                correct,
-                float(rounds) if rounds else math.nan,
-                float(burn_in) if burn_in else math.nan,
-            )
-        )
+def _summary_rows(records: list[Record]) -> list[Record]:
+    """Mean and standard-error records per (preset, algorithm, metric)."""
+    groups: dict[tuple[str, str, str], list[Record]] = {}
+    for r in records:
+        if not r.metric_name.startswith("error:"):
+            groups.setdefault((r.preset, r.algorithm, r.metric_name), []).append(r)
     out = []
-    for key in order:
-        preset, algo, metric = key
-        data = parsed[key]
-        values = np.array([d[0] for d in data])
-        corrects = [d[1] for d in data if d[1] != ""]
-        frac_correct = (
-            float(np.mean([c == "true" for c in corrects])) if corrects else ""
-        )
+    for (preset, algo, metric), group in groups.items():
+        values = np.array([r.metric_value for r in group])
+        corrects = [r.correct for r in group if r.correct is not None]
+        frac_correct = float(np.mean(corrects)) if corrects else None
         sem = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-        out.append(
-            _row(preset, algo, "summary", f"{metric}:mean", float(values.mean()), frac_correct)
-        )
-        out.append(_row(preset, algo, "summary", f"{metric}:sem", sem))
+        out.append(Record(preset, algo, "summary", f"{metric}:mean", float(values.mean()), frac_correct))
+        out.append(Record(preset, algo, "summary", f"{metric}:sem", sem))
     return out
 
 
@@ -189,37 +159,39 @@ def run_suite(config: ExperimentConfig) -> tuple[list[str], bool]:
     """Run every (seed, algorithm) cell of the configured experiment.
 
     Returns the CSV data rows (summary block included) and a flag that is
-    True when any cell failed. Results are emitted in seed order regardless
-    of worker completion order; per-cell failures become rows rather than
-    aborting the suite. Writes ``config.output_path`` when set.
+    True when any cell failed. Results are emitted in seed order whatever
+    the worker completion order; per-cell failures become ``error:`` rows
+    rather than aborting the suite. Summary rows are computed from the
+    unrounded per-seed values. A fixed-arm preset is built once here and
+    shared by every replication. Writes ``config.output_path`` when set.
     """
+    bundle = None if config.preset == "varest" else build_preset(config)
     reps = range(config.replications)
     if config.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {pool.submit(_run_one_seed, config, rep): rep for rep in reps}
-            by_rep = {futures[f]: f.result() for f in concurrent.futures.as_completed(futures)}
-        row_blocks = [by_rep[rep] for rep in reps]
+            blocks = list(pool.map(_run_one_seed, itertools.repeat(config), reps, itertools.repeat(bundle)))
     else:
-        row_blocks = [_run_one_seed(config, rep) for rep in reps]
+        blocks = [_run_one_seed(config, rep, bundle) for rep in reps]
 
-    rows = [row for block in row_blocks for row in block]
-    any_failed = any(",error:" in row for row in rows)
-    rows.extend(_summary_rows(rows))
-
+    records = [record for block in blocks for record in block]
+    any_failed = any(r.metric_name.startswith("error:") for r in records)
+    rows = [_row(r) for r in records + _summary_rows(records)]
     if config.output_path:
         write_csv(config.output_path, rows)
     return rows, any_failed
 
 
-def write_csv(path: str, rows: list[str]):
+def _write(path: str, header: str, rows: list[str]):
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-            fh.write(CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+            fh.write(f"# schema_version={SCHEMA_VERSION}\n{header}\n")
+            fh.writelines(row + "\n" for row in rows)
     except OSError as exc:
         raise HetBanditError(f"could not write {path}: {exc}") from exc
+
+
+def write_csv(path: str, rows: list[str]):
+    _write(path, CSV_HEADER, rows)
 
 
 def design_table_rows(bundle: PresetBundle, sigma_sources=("truth", "max"), fw_tol: float = 1e-4) -> list[str]:
@@ -228,31 +200,14 @@ def design_table_rows(bundle: PresetBundle, sigma_sources=("truth", "max"), fw_t
     if not isinstance(task, IdentTask):
         raise ConfigError("design tables need an identification preset")
     report = psi_star(task, variances=bundle.variances, fw_tol=fw_tol)
-    variances = (
-        bundle.variances
-        if bundle.variances is not None
-        else bundle.instance.arm_variances()
-    )
+    variances = bundle.variances if bundle.variances is not None else bundle.instance.arm_variances()
     rows = []
     for source in sigma_sources:
         design = report.psi_design if source == "truth" else report.rho_design
         for arm_index, weight in enumerate(design.weights):
-            rows.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (bundle.name, source, arm_index, float(weight), float(variances[arm_index]))
-                )
-            )
+            rows.append(_row((bundle.name, source, arm_index, float(weight), float(variances[arm_index]))))
     return rows
 
 
 def emit_design_table(bundle: PresetBundle, path: str, sigma_sources=("truth", "max")):
-    rows = design_table_rows(bundle, sigma_sources)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-            fh.write("preset,sigma_source,arm_index,weight,sigma_sq\n")
-            for row in rows:
-                fh.write(row + "\n")
-    except OSError as exc:
-        raise HetBanditError(f"could not write {path}: {exc}") from exc
+    _write(path, DESIGN_HEADER, design_table_rows(bundle, sigma_sources))

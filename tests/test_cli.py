@@ -1,10 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hetbandit
 import hetbandit.runner as runner_mod
-from hetbandit import ExperimentConfig, build_preset, run_suite
+from hetbandit import Environment, ExperimentConfig, build_preset, run_suite
 from hetbandit.cli import main, parse_config_file
 from hetbandit.presets import ConfigError
 from hetbandit.runner import CSV_HEADER, design_table_rows, emit_design_table
@@ -18,6 +21,18 @@ def tiny_config(**kw):
         delta=0.05,
         algorithms=("hrage", "rage"),
         overrides={"c_prime": 1.0},
+    )
+    defaults.update(kw)
+    return ExperimentConfig(**defaults)
+
+
+def tiny_varest_config(**kw):
+    defaults = dict(
+        preset="varest",
+        replications=1,
+        base_seed=0,
+        algorithms=("head", "separate_arm"),
+        overrides={"d": 3, "n_sphere": 20, "n_small": 20, "budgets": (600, 1200)},
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -74,19 +89,66 @@ class TestRunSuite:
         parallel, _ = run_suite(tiny_config(jobs=2))
         assert strip_wall(serial) == strip_wall(parallel)
 
-    def test_failures_become_rows(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "patched, config, failing, other",
+        [
+            ("hrage_run", tiny_config(), "hrage", "rage"),
+            ("head_estimate", tiny_varest_config(), "head", "separate_arm"),
+        ],
+        ids=["ident", "varest"],
+    )
+    def test_failures_become_rows(self, monkeypatch, patched, config, failing, other):
         def boom(*args, **kwargs):
             from hetbandit.core import HetBanditError
 
             raise HetBanditError("synthetic failure")
 
-        monkeypatch.setattr(runner_mod, "hrage_run", boom)
-        rows, failed = run_suite(tiny_config())
+        monkeypatch.setattr(runner_mod, patched, boom)
+        rows, failed = run_suite(config)
         assert failed
         error_rows = [r for r in rows if ",error:HetBanditError," in r]
-        assert len(error_rows) == 2
-        rage_rows = [r for r in rows if ",rage," in r and ",summary," not in r]
-        assert len(rage_rows) == 2  # the other algorithm still ran
+        assert len(error_rows) == 2  # one per seed, or one per budget
+        assert all(f",{failing}," in r for r in error_rows)
+        other_rows = [r for r in rows if f",{other}," in r and ",summary," not in r]
+        assert len(other_rows) == 2  # the other algorithm still ran
+
+    @pytest.mark.parametrize(
+        "config, builds",
+        [
+            (tiny_config(algorithms=("rage",)), 1),
+            (tiny_varest_config(replications=2, algorithms=("separate_arm",)), 2),
+        ],
+        ids=["example2", "varest"],
+    )
+    def test_fixed_arm_presets_built_once(self, monkeypatch, config, builds):
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build_preset(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "build_preset", counting_build)
+        run_suite(config)
+        assert len(calls) == builds
+
+    def test_summary_uses_unrounded_values(self, monkeypatch):
+        values = iter([1.0, 1.0 + 4e-11])
+        monkeypatch.setattr(runner_mod, "mae", lambda est, inst: next(values))
+        config = tiny_varest_config(
+            replications=2,
+            algorithms=("separate_arm",),
+            overrides={"d": 3, "n_sphere": 20, "n_small": 20, "budgets": (600,)},
+        )
+        rows, _ = run_suite(config)
+        sem = [r for r in rows if ",summary,mae@600:sem," in r]
+        assert len(sem) == 1
+        assert float(sem[0].split(",")[4]) == pytest.approx(2.0e-11, rel=1e-6)
+
+    def test_unknown_algorithm_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            run_suite(tiny_config(algorithms=("hrage", "mystery")))
+        with pytest.raises(ConfigError):
+            run_suite(tiny_varest_config(algorithms=("mystery",)))
 
     def test_varest_suite_rows(self):
         cfg = ExperimentConfig(
@@ -110,6 +172,21 @@ class TestRunSuite:
         assert lines[0] == "# schema_version=1"
         assert lines[1] == CSV_HEADER
         assert len(lines) > 2
+
+
+class TestBenchProbeNames:
+    def test_probe_wraps_names_that_exist(self):
+        path = Path(__file__).resolve().parents[1] / "bench" / "probe.py"
+        spec = importlib.util.spec_from_file_location("bench_probe", path)
+        probe = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(probe)
+        entries = [(name, users) for _layer, name, users in probe.SPANNED]
+        entries.append(probe.COUNTED)
+        for name, users in entries:
+            for user in users:
+                assert hasattr(getattr(hetbandit, user), name), f"hetbandit.{user}.{name}"
+        for method in probe.ENV_METHODS:
+            assert hasattr(Environment, method), f"Environment.{method}"
 
 
 class TestDesignTable:
