@@ -195,6 +195,29 @@ def solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(c.T, z)
 
 
+def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:
+    """Count-weighted least squares on per-arm sums: ``(coef, rank)``.
+
+    Minimizes ``sum_i n_i p_i (x_i' b - s_i / n_i)^2`` over the arms with
+    ``n_i > 0`` (``p_i = 1`` without ``precision``), which is the regression
+    with one row ``x_i`` per pull when ``s_i`` sums arm i's targets. Solved by
+    ``lstsq`` on the root-weighted rows with that regression's rank cutoff,
+    ``eps * max(sum n_i, columns)``; rows that span less than the space give
+    the minimum-norm solution and a rank below the column count.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    counts = np.asarray(counts)
+    pulled = counts > 0
+    n = counts[pulled]
+    w = n if precision is None else n * np.asarray(precision, dtype=np.float64)[pulled]
+    root = np.sqrt(w)
+    rcond = np.finfo(np.float64).eps * max(n.sum(), X.shape[1])
+    coef, _, rank, _ = np.linalg.lstsq(
+        X[pulled] * root[:, None], np.asarray(sums)[pulled] / n * root, rcond=rcond
+    )
+    return coef, int(rank)
+
+
 def quad_form_inv(A: np.ndarray, v: np.ndarray) -> float:
     """Evaluate v' A^{-1} v through a linear solve (never an explicit inverse)."""
     v = np.asarray(v, dtype=np.float64)
@@ -306,7 +329,6 @@ class VarianceEstimate:
     estimator_kind: str
     theta_hat: np.ndarray | None = None
     rank_deficient: bool = False
-    ridge_used: bool = False
     stage_totals: tuple[int, int] = (0, 0)
 
     def __post_init__(self):

@@ -316,7 +316,6 @@ class RoundSchedule:
 
     counts: tuple[int, ...]
     total: int
-    mode: str
 
 
 def round_design(design: Design, n_samples, mode: str = "ceiling") -> RoundSchedule:
@@ -347,4 +346,4 @@ def round_design(design: Design, n_samples, mode: str = "ceiling") -> RoundSched
     else:
         raise ValueError(f"unknown rounding mode {mode!r}")
     as_ints = tuple(int(c) for c in counts)
-    return RoundSchedule(counts=as_ints, total=sum(as_ints), mode=mode)
+    return RoundSchedule(counts=as_ints, total=sum(as_ints))

@@ -7,7 +7,7 @@ One Environment is owned by one worker at a time.
 
 from __future__ import annotations
 
-import math
+from itertools import repeat
 
 import numpy as np
 
@@ -93,48 +93,32 @@ class Environment:
             raise IndexError(f"arm index {arm_index} out of range")
 
     def sample(self, arm_index: int) -> float:
-        """One noisy observation of the indexed arm."""
+        """One noisy observation of the indexed arm: a one-pull schedule."""
         self._check_index(arm_index)
-        means, stds = self._moments()
-        y = means[arm_index]
-        if self.noise_mode == "gaussian":
-            y = y + stds[arm_index] * self._rng.standard_normal()
-        self.pull_count += 1
-        if self.recorder is not None:
-            self.recorder.append((self.label, arm_index, float(y)))
-        return float(y)
+        counts = [0] * self.arms.shape[0]
+        counts[arm_index] = 1
+        _, ys = self.sample_schedule(RoundSchedule(tuple(counts), 1))
+        return float(ys[0])
 
     def sample_schedule(self, schedule: RoundSchedule) -> tuple[np.ndarray, np.ndarray]:
         """Execute a pull schedule in ascending arm order.
 
         Returns parallel arrays of arm indices and observations, one entry
-        per pull.
+        per pull. All pulls share one ``standard_normal`` call, which leaves
+        the stream as it would be drawn one arm at a time.
         """
         means, stds = self._moments()
-        idx_parts, y_parts = [], []
-        for arm, count in enumerate(schedule.counts):
-            if count <= 0:
-                continue
-            mu = means[arm]
-            if self.noise_mode == "gaussian":
-                ys = mu + stds[arm] * self._rng.standard_normal(count)
-            else:
-                ys = np.full(count, mu)
-            idx_parts.append(np.full(count, arm, dtype=np.int64))
-            y_parts.append(ys)
+        idx = np.repeat(np.arange(self.arms.shape[0]), schedule.counts)
+        ys = means[idx]
+        if self.noise_mode == "gaussian":
+            ys = ys + stds[idx] * self._rng.standard_normal(idx.size)
         self.pull_count += schedule.total
-        if not idx_parts:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        idx = np.concatenate(idx_parts)
-        ys = np.concatenate(y_parts)
         if self.recorder is not None:
-            self.recorder.extend(
-                (self.label, int(a), float(v)) for a, v in zip(idx, ys)
-            )
+            self.recorder.extend(zip(repeat(self.label), idx.tolist(), ys.tolist()))
         return idx, ys
 
     def sample_schedule_sums(self, schedule: RoundSchedule) -> tuple[np.ndarray, np.ndarray]:
-        """Per-arm observation sums for a schedule, one Gaussian draw per arm.
+        """Per-arm observation sums for a schedule, one Gaussian draw per pulled arm.
 
         The sum of n i.i.d. responses is drawn directly from its exact
         distribution, so estimators that only need per-arm totals avoid
@@ -142,16 +126,12 @@ class Environment:
         very large budgets.
         """
         means, stds = self._moments()
-        counts = np.zeros(self.arms.shape[0])
-        sums = np.zeros(self.arms.shape[0])
-        for arm, count in enumerate(schedule.counts):
-            if count <= 0:
-                continue
-            counts[arm] = float(count)
-            total_mean = float(count) * means[arm]
-            if self.noise_mode == "gaussian":
-                sums[arm] = total_mean + math.sqrt(count) * stds[arm] * self._rng.standard_normal()
-            else:
-                sums[arm] = total_mean
+        counts = np.asarray(schedule.counts, dtype=np.float64)
+        pulled = counts > 0
+        sums = np.zeros(counts.size)
+        sums[pulled] = counts[pulled] * means[pulled]
+        if self.noise_mode == "gaussian":
+            draws = self._rng.standard_normal(np.count_nonzero(pulled))
+            sums[pulled] += np.sqrt(counts[pulled]) * stds[pulled] * draws
         self.pull_count += schedule.total
         return counts, sums

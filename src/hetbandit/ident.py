@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateGap, Design, DimensionMismatch, HeteroInstance, solve_psd
+from .core import DegenerateGap, Design, DimensionMismatch, HeteroInstance, fit_arm_sums, solve_psd
 from .design import DesignProblem, round_design, solve_design
 from .env import Environment
 from .varest import DEFAULT_C_PRIME, head_budget_for_half, head_estimate
@@ -112,24 +112,20 @@ def wls_estimate(xs, ys, weights=None) -> np.ndarray:
     """Weighted least squares ``argmin sum_i w_i (x_i' theta - y_i)^2``;
     identity weights give OLS.
 
-    Solved by ``lstsq`` on the root-weighted rows rather than the normal
-    equations, so when the rows span less than the space (a sparse design
-    whose support is rank deficient) the minimum-norm solution comes back
-    and every ``v' theta`` with ``v`` in the row span is still estimated
-    accurately.
+    Each row is one pull of :func:`~hetbandit.core.fit_arm_sums`, so when the
+    rows span less than the space (a sparse design whose support is rank
+    deficient) the minimum-norm solution comes back and every ``v' theta``
+    with ``v`` in the row span is still estimated accurately.
     """
     X = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64).ravel()
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise DimensionMismatch("need one observation row per response")
-    if weights is None:
-        w = np.ones(y.shape[0])
-    else:
-        w = np.asarray(weights, dtype=np.float64).ravel()
-        if w.shape != y.shape:
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64).ravel()
+        if weights.shape != y.shape:
             raise DimensionMismatch("need one weight per observation")
-    root = np.sqrt(w)
-    return np.linalg.lstsq(X * root[:, None], y * root, rcond=None)[0]
+    return fit_arm_sums(X, np.ones(y.shape[0]), y, weights)[0]
 
 
 def _difference_directions(targets: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -201,9 +197,7 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
         tau = round_budget(epsilon, design.value, n_targets, task.delta, ell, tau_scale)
         schedule = round_design(design, tau, "ceiling")
         counts, sums = env.sample_schedule_sums(schedule)
-        pulled = counts > 0
-        theta_hat = wls_estimate(inst.arms[pulled], sums[pulled] / counts[pulled],
-                                 counts[pulled] * precisions[pulled])
+        theta_hat, _ = fit_arm_sums(inst.arms, counts, sums, precisions)
 
         rounds.append(
             RoundRecord(
@@ -407,9 +401,9 @@ def oracle_run(
             pulls = schedule.total
         total += pulls
 
+        theta_hat, _ = fit_arm_sums(inst.arms, counts, sums, precisions)
         mask = counts > 0
         Xs = inst.arms[mask]
-        theta_hat = wls_estimate(Xs, sums[mask] / counts[mask], counts[mask] * precisions[mask])
         A = (Xs * (counts[mask] * precisions[mask])[:, None]).T @ Xs
         quad = np.einsum("mr,rm->m", directions, solve_psd(A, directions.T))
         widths = np.sqrt(2.0 * width_scale * np.maximum(quad, 0.0) * log_term)

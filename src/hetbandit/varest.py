@@ -15,7 +15,12 @@ Every estimator reduces its pulls to per-arm sufficient statistics (count,
 mean and centred sum of squares) as soon as they are drawn, so each
 regression has one row per pulled arm rather than one per pull. The sum of
 squared residuals of arm i about any fit is ``SS_i + n_i (mean_i - fit_i)^2``,
-which makes the per-arm regressions equal to the per-pull ones.
+which makes the per-arm regressions equal to the per-pull ones. Every fit,
+of the mean parameter and of the noise matrix alike, is
+:func:`~hetbandit.core.fit_arm_sums`: where the pulled arms or their lifts
+span less than the space it returns the minimum-norm solution, and the
+estimate is flagged ``rank_deficient`` when the lifts do not span the full
+d(d+1)/2-dimensional lift space.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ from .core import (
     InsufficientBudget,
     RankDeficientLift,
     VarianceEstimate,
+    fit_arm_sums,
     greedy_spanning_subset,
     lift_arms,
-    solve_psd,
+    solve_psd,  # not called here; bench/probe.py counts calls through this name
     unvech,
 )
 from .design import DesignProblem, RoundSchedule, round_design, solve_design
@@ -75,6 +81,19 @@ def _arm_moments(env: Environment, schedule: RoundSchedule) -> tuple[np.ndarray,
     return counts, means, ss
 
 
+def _lifted_estimate(
+    inst: HeteroInstance, phi: np.ndarray, counts, resid_ss, **fields
+) -> VarianceEstimate:
+    """Regress per-arm residual sums of squares on the lifts into an estimate."""
+    coeffs, rank = fit_arm_sums(phi, counts, resid_ss)
+    return VarianceEstimate(
+        sigma_hat_matrix=unvech(coeffs, inst.dimension),
+        per_arm=_clamp_all(phi @ coeffs, inst),
+        rank_deficient=rank < phi.shape[1],
+        **fields,
+    )
+
+
 def head_estimate(
     inst: HeteroInstance,
     env: Environment,
@@ -113,7 +132,7 @@ def head_estimate(
         )
     sched1 = round_design(des1, half, "ceiling")
     n1, mean1, _ = _arm_moments(env1, sched1)
-    theta_hat = solve_psd((X.T * n1) @ X, X.T @ (n1 * mean1))
+    theta_hat, _ = fit_arm_sums(X, n1, n1 * mean1)
 
     des2 = solve_design(DesignProblem(phi, phi, tolerance=fw_tol))
     if half < des2.support_size:
@@ -122,25 +141,11 @@ def head_estimate(
         )
     sched2 = round_design(des2, half, "ceiling")
     n2, mean2, ss2 = _arm_moments(env2, sched2)
-    pulled = n2 > 0
-    n2, mean2, ss2 = n2[pulled], mean2[pulled], ss2[pulled]
-    mean_resid_sq = ss2 / n2 + (mean2 - X[pulled] @ theta_hat) ** 2
-    root_n = np.sqrt(n2)
-    m_dim = phi.shape[1]
-    # The rank cutoff of the equivalent one-row-per-pull regression.
-    rcond = np.finfo(np.float64).eps * max(sched2.total, m_dim)
-    coeffs, _, rank, _ = np.linalg.lstsq(
-        phi[pulled] * root_n[:, None], mean_resid_sq * root_n, rcond=rcond
-    )
-
-    raw = phi @ coeffs
-    return VarianceEstimate(
-        sigma_hat_matrix=unvech(coeffs, inst.dimension),
-        per_arm=_clamp_all(raw, inst),
+    return _lifted_estimate(
+        inst, phi, n2, ss2 + n2 * (mean2 - X @ theta_hat) ** 2,
         budget_used=sched1.total + sched2.total,
         estimator_kind="head",
         theta_hat=theta_hat,
-        rank_deficient=rank < m_dim,
         stage_totals=(sched1.total, sched2.total),
     )
 
@@ -154,9 +159,10 @@ def uniform_estimate(
     """Uniform-sampling baseline: one pooled sample, no splitting.
 
     The mean parameter is fit on all draws and the squared residuals of the
-    same draws are regressed on the lifted arms, both through count-weighted
-    normal equations on per-arm sufficient statistics. Rank-deficient pools
-    fall back to a ridge-regularized solve and are flagged.
+    same draws are regressed on the lifted arms, both by count-weighted least
+    squares on per-arm sufficient statistics. A pool whose lifts do not span
+    the lift space (a small budget misses arms) gets minimum-norm fits and is
+    flagged ``rank_deficient``.
     """
     if gamma < 1:
         raise InsufficientBudget("uniform estimator needs at least one sample")
@@ -165,28 +171,14 @@ def uniform_estimate(
     pick_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
     indices = pick_rng.integers(0, inst.n_arms, size=gamma)
     counts = np.bincount(indices, minlength=inst.n_arms)
-    schedule = RoundSchedule(counts=tuple(int(c) for c in counts), total=int(counts.sum()), mode="ceiling")
+    schedule = RoundSchedule(counts=tuple(counts.tolist()), total=gamma)
     n, means, ss = _arm_moments(env, schedule)
-
-    gram = (X.T * n) @ X
-    ridge_used = np.linalg.matrix_rank(gram) < inst.dimension
-    theta_hat = solve_psd(gram, X.T @ (n * means))
-
-    resid_ss = ss + n * (means - X @ theta_hat) ** 2
-    lgram = (phi.T * n) @ phi
-    m_dim = phi.shape[1]
-    rank_deficient = np.linalg.matrix_rank(lgram) < m_dim
-    coeffs = solve_psd(lgram, phi.T @ resid_ss)
-
-    raw = phi @ coeffs
-    return VarianceEstimate(
-        sigma_hat_matrix=unvech(coeffs, inst.dimension),
-        per_arm=_clamp_all(raw, inst),
+    theta_hat, _ = fit_arm_sums(X, n, n * means)
+    return _lifted_estimate(
+        inst, phi, n, ss + n * (means - X @ theta_hat) ** 2,
         budget_used=schedule.total,
         estimator_kind="uniform",
         theta_hat=theta_hat,
-        rank_deficient=rank_deficient,
-        ridge_used=ridge_used or rank_deficient,
     )
 
 
@@ -198,8 +190,8 @@ def separate_arm_estimate(
     """Per-arm sample-variance baseline on a square set of lifted arms.
 
     Splits the budget evenly over d(d+1)/2 arms whose lifts form a
-    well-conditioned square system, computes each arm's sample variance, and
-    solves the square system for the noise matrix.
+    well-conditioned square system, and regresses each arm's centred sum of
+    squares on its lift, which solves the square system of sample variances.
     """
     X = inst.arms
     phi = lift_arms(X)
@@ -217,22 +209,10 @@ def separate_arm_estimate(
 
     counts = np.zeros(inst.n_arms, dtype=np.int64)
     counts[chosen] = n_per
-    schedule = RoundSchedule(counts=tuple(int(c) for c in counts), total=int(counts.sum()), mode="ceiling")
+    schedule = RoundSchedule(counts=tuple(counts.tolist()), total=n_per * m_dim)
     n, _, ss = _arm_moments(env, schedule)
-    sample_vars = ss[chosen] / n[chosen]
-
-    phi_subset = phi[chosen]
-    try:
-        coeffs = np.linalg.solve(phi_subset, sample_vars)
-    except np.linalg.LinAlgError:
-        coeffs, _, _, _ = np.linalg.lstsq(phi_subset, sample_vars, rcond=None)
-
-    raw = phi @ coeffs
-    return VarianceEstimate(
-        sigma_hat_matrix=unvech(coeffs, inst.dimension),
-        per_arm=_clamp_all(raw, inst),
-        budget_used=schedule.total,
-        estimator_kind="separate_arm",
+    return _lifted_estimate(
+        inst, phi, n, ss, budget_used=schedule.total, estimator_kind="separate_arm"
     )
 
 

@@ -15,7 +15,7 @@ from hetbandit import (
     unvech,
     vech,
 )
-from hetbandit.core import solve_psd
+from hetbandit.core import fit_arm_sums, solve_psd
 from hetbandit.varest import _clamp_all
 
 
@@ -145,6 +145,44 @@ def _unit_instance():
     return HeteroInstance(
         np.eye(2), np.eye(2), np.array([1.0, 0.0]), np.eye(2), 0.1, 4.0
     )
+
+
+class TestFitArmSums:
+    """The per-arm fit equals least squares with one row per pull."""
+
+    @staticmethod
+    def per_pull(X, counts, ys, precision):
+        # One row per pull, root-weighted by its arm's precision.
+        idx = np.repeat(np.arange(X.shape[0]), counts)
+        root = np.sqrt(precision[idx])
+        coef, _, rank, _ = np.linalg.lstsq(X[idx] * root[:, None], ys * root, rcond=None)
+        return coef, rank
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("support_rank", [None, 2])
+    def test_matches_one_row_per_pull(self, seed, weighted, support_rank):
+        rng = np.random.default_rng(seed)
+        n_arms, d = 9, 4
+        X = rng.standard_normal((n_arms, d))
+        counts = rng.integers(0, 6, n_arms)
+        counts[rng.choice(n_arms, 3, replace=False)] = 0
+        if support_rank is not None:
+            # The pulled arms span a subspace of dimension support_rank.
+            pulled = np.flatnonzero(counts)
+            basis = rng.standard_normal((support_rank, d))
+            X[pulled] = rng.standard_normal((pulled.size, support_rank)) @ basis
+        precision = rng.uniform(0.2, 5.0, n_arms) if weighted else np.ones(n_arms)
+        idx = np.repeat(np.arange(n_arms), counts)
+        ys = rng.standard_normal(idx.size)
+        sums = np.bincount(idx, weights=ys, minlength=n_arms)
+
+        coef, rank = fit_arm_sums(X, counts, sums, precision if weighted else None)
+        ref_coef, ref_rank = self.per_pull(X, counts, ys, precision)
+        np.testing.assert_allclose(coef, ref_coef, rtol=0, atol=1e-10)
+        assert rank == ref_rank
+        if support_rank is not None:
+            assert rank == support_rank
 
 
 class TestClampVariance:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ def make_instance():
 
 
 def schedule(counts):
-    return RoundSchedule(counts=tuple(counts), total=sum(counts), mode="ceiling")
+    return RoundSchedule(counts=tuple(counts), total=sum(counts))
 
 
 class TestSample:
@@ -119,3 +121,97 @@ class TestBookkeeping:
         child = env.split(1)[0]
         child.sample(0)
         assert log[-1][0] == "env/0"
+
+
+class LoopReference:
+    """The per-arm loop the environment's sampling must match bit for bit.
+
+    Draws from its own Philox stream over the same seed, one arm at a time
+    and one scalar per ``sample`` call.
+    """
+
+    def __init__(self, inst, seed, noise_mode, label="env"):
+        self.means = inst.arms @ inst.theta_star
+        var = np.einsum("ij,jk,ik->i", inst.arms, inst.sigma_star, inst.arms)
+        self.stds = np.sqrt(np.maximum(var, 0.0))
+        self.rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        self.gaussian = noise_mode == "gaussian"
+        self.label = label
+        self.log: list = []
+        self.pull_count = 0
+
+    def sample(self, arm):
+        y = self.means[arm]
+        if self.gaussian:
+            y = y + self.stds[arm] * self.rng.standard_normal()
+        self.pull_count += 1
+        self.log.append((self.label, arm, float(y)))
+        return float(y)
+
+    def sample_schedule(self, counts):
+        idx_parts, y_parts = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        for arm, count in enumerate(counts):
+            if count <= 0:
+                continue
+            if self.gaussian:
+                ys = self.means[arm] + self.stds[arm] * self.rng.standard_normal(count)
+            else:
+                ys = np.full(count, self.means[arm])
+            idx_parts.append(np.full(count, arm, dtype=np.int64))
+            y_parts.append(ys)
+        idx, ys = np.concatenate(idx_parts), np.concatenate(y_parts)
+        self.pull_count += sum(counts)
+        self.log.extend((self.label, int(a), float(v)) for a, v in zip(idx, ys))
+        return idx, ys
+
+    def sample_schedule_sums(self, counts):
+        out_counts, sums = np.zeros(len(counts)), np.zeros(len(counts))
+        for arm, count in enumerate(counts):
+            if count <= 0:
+                continue
+            out_counts[arm] = float(count)
+            sums[arm] = float(count) * self.means[arm]
+            if self.gaussian:
+                sums[arm] += math.sqrt(count) * self.stds[arm] * self.rng.standard_normal()
+        self.pull_count += sum(counts)
+        return out_counts, sums
+
+
+class TestLoopFreeSampling:
+    CALLS = (
+        ("schedule", [3, 0, 2]),
+        ("sample", 1),
+        ("sums", [4, 0, 1]),
+        ("schedule", [0, 0, 0]),
+        ("sums", [0, 0, 0]),
+        ("sample", 2),
+        ("schedule", [0, 5, 0]),
+        ("sums", [7, 2, 9]),
+        ("schedule", [1, 1, 1]),
+        ("sample", 0),
+    )
+
+    @pytest.mark.parametrize("noise_mode", ["gaussian", "silent"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bit_identical_to_per_arm_loop(self, noise_mode, seed):
+        inst = make_instance()
+        log: list = []
+        env = Environment.from_instance(inst, seed=seed, noise_mode=noise_mode, recorder=log)
+        ref = LoopReference(inst, seed, noise_mode)
+        for kind, arg in self.CALLS:
+            if kind == "sample":
+                assert env.sample(arg) == ref.sample(arg)
+            elif kind == "schedule":
+                idx, ys = env.sample_schedule(schedule(arg))
+                ref_idx, ref_ys = ref.sample_schedule(arg)
+                assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
+                assert np.array_equal(ys, ref_ys)
+            else:
+                counts, sums = env.sample_schedule_sums(schedule(arg))
+                ref_counts, ref_sums = ref.sample_schedule_sums(arg)
+                assert np.array_equal(counts, ref_counts)
+                assert np.array_equal(sums, ref_sums)
+            assert env.pull_count == ref.pull_count
+        assert log == ref.log
+        # The streams are still in step after every call.
+        assert env.sample(1) == ref.sample(1)
