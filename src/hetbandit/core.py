@@ -7,7 +7,8 @@ arrays at construction so values can be shared across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -288,6 +289,13 @@ class HeteroInstance:
 
     def kappa(self) -> float:
         return self.sigma_max_sq / self.sigma_min_sq
+
+    @cached_property
+    def lift_spanning_subset(self) -> tuple[int, ...]:
+        """Indices of up to d(d+1)/2 arms whose lifts greedily span the lift
+        space, computed once per instance; the lifts themselves are not kept."""
+        d = self.dimension
+        return tuple(greedy_spanning_subset(lift_arms(self.arms), d * (d + 1) // 2))
 
     def arm_variances(self) -> np.ndarray:
         """True per-arm noise variances x' Sigma x."""

@@ -110,10 +110,6 @@ class DesignProblem:
         self._evals_r = V @ basis
         self._self_eval = X.shape == V.shape and np.array_equal(X, V)
 
-    @property
-    def rank(self) -> int:
-        return self._basis.shape[1]
-
 
 def _psd_inverse_cond(A: np.ndarray) -> tuple[np.ndarray | None, float]:
     """``A^-1`` from one Cholesky factor and the squared ratio of its extreme

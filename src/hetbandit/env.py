@@ -18,6 +18,9 @@ NOISE_MODES = ("gaussian", "silent")
 
 
 class Environment:
+    """Noisy responses ``x' theta + N(0, x' Sigma x)``. Library algorithms draw per-arm
+    sums or moments, never single pulls, so they do not log to ``recorder``."""
+
     # Callers may keep many environments (one per run), so no per-instance dict.
     __slots__ = ("arms", "theta_star", "sigma_star", "noise_mode", "recorder", "label",
                  "_seed_seq", "_rng", "pull_count")
@@ -135,3 +138,19 @@ class Environment:
             sums[pulled] += np.sqrt(counts[pulled]) * stds[pulled] * draws
         self.pull_count += schedule.total
         return counts, sums
+
+    def sample_schedule_moments(self, schedule: RoundSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-arm (counts, sums, SS) for a schedule, in O(arms) whatever its total.
+
+        ``SS`` is each arm's centred sum of squares. For Gaussian pulls it is
+        independent of the sum and distributed as ``sigma^2 chi^2_{n-1}``, so
+        it is drawn in one ``chisquare`` call after the sums, which are those of
+        :meth:`sample_schedule_sums`. Arms with at most one pull read zero and
+        take no draw.
+        """
+        counts, sums = self.sample_schedule_sums(schedule)
+        ss = np.zeros(counts.size)
+        if self.noise_mode == "gaussian":
+            many = counts > 1
+            ss[many] = self._moments()[1][many] ** 2 * self._rng.chisquare(counts[many] - 1)
+        return counts, sums, ss

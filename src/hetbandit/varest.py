@@ -11,12 +11,14 @@ Three strategies are provided:
 * :func:`separate_arm_estimate` - per-arm sample variances on a
   well-conditioned square subset of lifted arms.
 
-Every estimator reduces its pulls to per-arm sufficient statistics (count,
-mean and centred sum of squares) as soon as they are drawn, so each
-regression has one row per pulled arm rather than one per pull. The sum of
-squared residuals of arm i about any fit is ``SS_i + n_i (mean_i - fit_i)^2``,
-which makes the per-arm regressions equal to the per-pull ones. Every fit,
-of the mean parameter and of the noise matrix alike, is
+Every estimator reads only per-arm sufficient statistics (count, sum and
+centred sum of squares), drawn directly from their exact distribution by
+:meth:`~hetbandit.env.Environment.sample_schedule_moments`; no pull is drawn
+or stored one by one, so a call costs the same at any budget. Each regression
+has one row per pulled arm rather than one per pull. The sum of squared
+residuals of arm i about any fit is ``SS_i + n_i (mean_i - fit_i)^2``, which
+makes the per-arm regressions equal to the per-pull ones. Every fit, of the
+mean parameter and of the noise matrix alike, is
 :func:`~hetbandit.core.fit_arm_sums`: where the pulled arms or their lifts
 span less than the space it returns the minimum-norm solution, and the
 estimate is flagged ``rank_deficient`` when the lifts do not span the full
@@ -36,7 +38,6 @@ from .core import (
     RankDeficientLift,
     VarianceEstimate,
     fit_arm_sums,
-    greedy_spanning_subset,
     lift_arms,
     solve_psd,  # not called here; bench/probe.py counts calls through this name
     unvech,
@@ -65,30 +66,19 @@ def _clamp_all(raw: np.ndarray, inst: HeteroInstance) -> np.ndarray:
     return np.clip(raw, inst.sigma_min_sq, inst.sigma_max_sq)
 
 
-def _arm_moments(env: Environment, schedule: RoundSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pull a schedule and reduce it to per-arm (counts, means, SS).
-
-    ``SS`` is each arm's sum of squared deviations from its own mean, taken
-    in a second pass over the centred pulls so that it never cancels the
-    way ``sum y^2 - n mean^2`` does. Arms without pulls read zero.
-    """
-    n_arms = len(schedule.counts)
-    idx, ys = env.sample_schedule(schedule)
-    counts = np.bincount(idx, minlength=n_arms)
-    sums = np.bincount(idx, weights=ys, minlength=n_arms)
-    means = np.divide(sums, counts, out=np.zeros(n_arms), where=counts > 0)
-    ss = np.bincount(idx, weights=(ys - means[idx]) ** 2, minlength=n_arms)
-    return counts, means, ss
-
-
 def _lifted_estimate(
-    inst: HeteroInstance, phi: np.ndarray, counts, resid_ss, **fields
+    inst: HeteroInstance, phi: np.ndarray, counts, sums, ss, theta_hat=None, **fields
 ) -> VarianceEstimate:
-    """Regress per-arm residual sums of squares on the lifts into an estimate."""
-    coeffs, rank = fit_arm_sums(phi, counts, resid_ss)
+    """Regress per-arm residual sums of squares on the lifts into an estimate.
+    About the fit ``X @ theta_hat`` arm i's is ``SS_i + (s_i - n_i x_i'theta_hat)^2
+    / n_i``; about its own mean (no ``theta_hat``) it is ``SS_i``."""
+    if theta_hat is not None:
+        ss = ss + (sums - counts * (inst.arms @ theta_hat)) ** 2 / np.maximum(counts, 1)
+    coeffs, rank = fit_arm_sums(phi, counts, ss)
     return VarianceEstimate(
         sigma_hat_matrix=unvech(coeffs, inst.dimension),
         per_arm=_clamp_all(phi @ coeffs, inst),
+        theta_hat=theta_hat,
         rank_deficient=rank < phi.shape[1],
         **fields,
     )
@@ -106,14 +96,12 @@ def head_estimate(
     arms and fits the mean parameter by least squares. Phase two solves the
     same design problem over the lifted arms (restricted to their span),
     spends the other half there, and regresses the squared residuals about
-    the phase-one fit on the lifts. Both fits run on per-arm sufficient
-    statistics: phase one is count-weighted least squares on the arm means,
-    and phase two has one row per pulled arm, weighted by its pull count,
-    whose target is the arm's mean squared residual; this gives the same
-    solution and the same rank as a regression with one row per pull. If the
-    lifted pulls do not span the full lift space the minimum-norm solution is
-    taken and the estimate is flagged ``rank_deficient`` (per-arm values stay
-    identified because every arm's lift lies in the sampled span).
+    the phase-one fit on the lifts. Both fits are count-weighted regressions
+    with one row per pulled arm, which give the same solution and rank as
+    regressions with one row per pull. If the lifted pulls do not span the
+    full lift space the minimum-norm solution is taken and the estimate is
+    flagged ``rank_deficient`` (per-arm values stay identified because every
+    arm's lift lies in the sampled span).
     """
     if gamma % 2 != 0:
         warnings.warn("odd budget decremented by one to allow an even split")
@@ -131,8 +119,8 @@ def head_estimate(
             f"half budget {half} below stage-1 design support {des1.support_size}"
         )
     sched1 = round_design(des1, half, "ceiling")
-    n1, mean1, _ = _arm_moments(env1, sched1)
-    theta_hat, _ = fit_arm_sums(X, n1, n1 * mean1)
+    n1, sums1, _ = env1.sample_schedule_moments(sched1)
+    theta_hat, _ = fit_arm_sums(X, n1, sums1)
 
     des2 = solve_design(DesignProblem(phi, phi, tolerance=fw_tol))
     if half < des2.support_size:
@@ -140,12 +128,11 @@ def head_estimate(
             f"half budget {half} below stage-2 design support {des2.support_size}"
         )
     sched2 = round_design(des2, half, "ceiling")
-    n2, mean2, ss2 = _arm_moments(env2, sched2)
+    n2, sums2, ss2 = env2.sample_schedule_moments(sched2)
     return _lifted_estimate(
-        inst, phi, n2, ss2 + n2 * (mean2 - X @ theta_hat) ** 2,
+        inst, phi, n2, sums2, ss2, theta_hat,
         budget_used=sched1.total + sched2.total,
         estimator_kind="head",
-        theta_hat=theta_hat,
         stage_totals=(sched1.total, sched2.total),
     )
 
@@ -169,16 +156,12 @@ def uniform_estimate(
     X = inst.arms
     phi = lift_arms(X)
     pick_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
-    indices = pick_rng.integers(0, inst.n_arms, size=gamma)
-    counts = np.bincount(indices, minlength=inst.n_arms)
+    counts = pick_rng.multinomial(gamma, np.full(inst.n_arms, 1.0 / inst.n_arms))
     schedule = RoundSchedule(counts=tuple(counts.tolist()), total=gamma)
-    n, means, ss = _arm_moments(env, schedule)
-    theta_hat, _ = fit_arm_sums(X, n, n * means)
+    n, sums, ss = env.sample_schedule_moments(schedule)
+    theta_hat, _ = fit_arm_sums(X, n, sums)
     return _lifted_estimate(
-        inst, phi, n, ss + n * (means - X @ theta_hat) ** 2,
-        budget_used=schedule.total,
-        estimator_kind="uniform",
-        theta_hat=theta_hat,
+        inst, phi, n, sums, ss, theta_hat, budget_used=schedule.total, estimator_kind="uniform"
     )
 
 
@@ -193,10 +176,9 @@ def separate_arm_estimate(
     well-conditioned square system, and regresses each arm's centred sum of
     squares on its lift, which solves the square system of sample variances.
     """
-    X = inst.arms
-    phi = lift_arms(X)
+    phi = lift_arms(inst.arms)
     m_dim = phi.shape[1]
-    chosen = greedy_spanning_subset(phi, m_dim)
+    chosen = list(inst.lift_spanning_subset)
     if len(chosen) < m_dim:
         raise RankDeficientLift(
             f"only {len(chosen)} independent lifted arms available, need {m_dim}"
@@ -210,9 +192,9 @@ def separate_arm_estimate(
     counts = np.zeros(inst.n_arms, dtype=np.int64)
     counts[chosen] = n_per
     schedule = RoundSchedule(counts=tuple(counts.tolist()), total=n_per * m_dim)
-    n, _, ss = _arm_moments(env, schedule)
+    n, sums, ss = env.sample_schedule_moments(schedule)
     return _lifted_estimate(
-        inst, phi, n, ss, budget_used=schedule.total, estimator_kind="separate_arm"
+        inst, phi, n, sums, ss, budget_used=schedule.total, estimator_kind="separate_arm"
     )
 
 

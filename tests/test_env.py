@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from hetbandit import Environment, HeteroInstance, RoundSchedule
+from hetbandit import (
+    Environment,
+    HeteroInstance,
+    RoundSchedule,
+    head_estimate,
+    mae,
+    separate_arm_estimate,
+    uniform_estimate,
+)
 
 
 def make_instance():
@@ -176,6 +184,14 @@ class LoopReference:
         self.pull_count += sum(counts)
         return out_counts, sums
 
+    def sample_schedule_moments(self, counts):
+        out_counts, sums = self.sample_schedule_sums(counts)
+        ss = np.zeros(len(counts))
+        for arm, count in enumerate(counts):
+            if self.gaussian and count > 1:
+                ss[arm] = self.stds[arm] ** 2 * self.rng.chisquare(count - 1)
+        return out_counts, sums, ss
+
 
 class TestLoopFreeSampling:
     CALLS = (
@@ -215,3 +231,73 @@ class TestLoopFreeSampling:
         assert log == ref.log
         # The streams are still in step after every call.
         assert env.sample(1) == ref.sample(1)
+
+
+class TestMomentSampling:
+    SCHEDULES = ([1, 0, 5], [0, 0, 0], [0, 1, 1], [2, 0, 0], [7, 3, 9], [1, 1, 1])
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_counts_and_sums_match_sums_path(self, seed):
+        inst = make_instance()
+        for counts in self.SCHEDULES:
+            env = Environment.from_instance(inst, seed=seed)
+            ref = Environment.from_instance(inst, seed=seed)
+            got_counts, got_sums, _ = env.sample_schedule_moments(schedule(counts))
+            ref_counts, ref_sums = ref.sample_schedule_sums(schedule(counts))
+            assert np.array_equal(got_counts, ref_counts)
+            assert np.array_equal(got_sums, ref_sums)
+            assert env.pull_count == ref.pull_count == sum(counts)
+
+    @pytest.mark.parametrize("noise_mode", ["gaussian", "silent"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bit_identical_to_per_arm_loop(self, noise_mode, seed):
+        # Arms with zero or one pull read SS = 0 and take no draw, so the
+        # streams stay in step after every call.
+        inst = make_instance()
+        env = Environment.from_instance(inst, seed=seed, noise_mode=noise_mode)
+        ref = LoopReference(inst, seed, noise_mode)
+        for counts in self.SCHEDULES:
+            got = env.sample_schedule_moments(schedule(counts))
+            want = ref.sample_schedule_moments(counts)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert np.all(got[2][np.asarray(counts) <= 1] == 0.0)
+            assert env.pull_count == ref.pull_count
+        assert env.sample(1) == ref.sample(1)
+
+    def test_silent_mode_exact(self):
+        inst = make_instance()
+        env = Environment.from_instance(inst, seed=1, noise_mode="silent")
+        counts, sums, ss = env.sample_schedule_moments(schedule([4, 0, 3]))
+        assert np.array_equal(counts, [4.0, 0.0, 3.0])
+        assert np.array_equal(sums, counts * (inst.arms @ inst.theta_star))
+        assert np.array_equal(ss, np.zeros(3))
+        assert env.pull_count == 7
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_chi_square_moments(self, n):
+        # 20 000 identical arms with variance 4: SS / 4 ~ chi^2_{n-1}, so
+        # E[SS] = 4 (n-1) and Var[SS] = 32 (n-1). The tolerances (4 % on the
+        # mean, 10 % on the variance) are at least 3.8 standard errors.
+        arms = np.ones((20_000, 1))
+        env = Environment(arms, np.array([0.5]), np.array([[4.0]]), seed=17)
+        _, _, ss = env.sample_schedule_moments(schedule([n] * arms.shape[0]))
+        assert abs(ss.mean() / (4.0 * (n - 1)) - 1.0) < 0.04
+        assert abs(ss.var() / (32.0 * (n - 1)) - 1.0) < 0.10
+
+    def test_budget_of_1e8(self):
+        inst = make_instance()
+        gamma = 10**8
+        env = Environment.from_instance(inst, seed=5)
+        counts, _, ss = env.sample_schedule_moments(schedule([gamma, 0, 0]))
+        assert env.pull_count == gamma and counts[0] == gamma
+        assert abs(ss[0] / (4.0 * (gamma - 1)) - 1.0) < 1e-3
+        head = head_estimate(inst, Environment.from_instance(inst, seed=6), gamma)
+        assert head.budget_used == sum(head.stage_totals) >= gamma
+        assert min(head.stage_totals) >= gamma // 2
+        uniform = uniform_estimate(inst, Environment.from_instance(inst, seed=7), gamma, rng_seed=1)
+        assert uniform.budget_used == gamma
+        separate = separate_arm_estimate(inst, Environment.from_instance(inst, seed=8), gamma)
+        assert separate.budget_used == 3 * (gamma // 3)
+        for est in (head, uniform, separate):
+            assert mae(est, inst) < 0.01

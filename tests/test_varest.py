@@ -7,10 +7,13 @@ from hetbandit import (
     DEFAULT_C_PRIME,
     Environment,
     HeteroInstance,
+    IdentTask,
     InsufficientBudget,
     RankDeficientLift,
+    RunConfig,
     head_budget_for_half,
     head_estimate,
+    hrage_run,
     mae,
     oracle_truth_estimate,
     separate_arm_estimate,
@@ -18,6 +21,25 @@ from hetbandit import (
 )
 from hetbandit.core import greedy_spanning_subset, lift_arms, solve_psd, vech
 from hetbandit.presets import build_varest_instance
+
+
+def per_pull_moments(env, schedule):
+    """Reference per-arm moments from individual pulls: every pull is drawn
+    through ``sample_schedule``, so a recorder logs it, and then reduced to
+    (counts, sums, SS) with ``SS`` taken about each arm's own mean."""
+    n_arms = len(schedule.counts)
+    idx, ys = env.sample_schedule(schedule)
+    counts = np.bincount(idx, minlength=n_arms)
+    sums = np.bincount(idx, weights=ys, minlength=n_arms)
+    means = np.divide(sums, counts, out=np.zeros(n_arms), where=counts > 0)
+    ss = np.bincount(idx, weights=(ys - means[idx]) ** 2, minlength=n_arms)
+    return counts, sums, ss
+
+
+@pytest.fixture
+def per_pull_sampling(monkeypatch):
+    """Draw the estimators' moments pull by pull, so the recorder fills."""
+    monkeypatch.setattr(Environment, "sample_schedule_moments", per_pull_moments)
 
 
 def basis_instance(d=3, noise=2.0):
@@ -96,6 +118,7 @@ class TestHeadEstimate:
         with pytest.raises(InsufficientBudget):
             head_estimate(inst, env, 2)
 
+    @pytest.mark.usefixtures("per_pull_sampling")
     def test_sample_splitting_structural(self):
         # Stage-2 residuals regress against the stage-1 fit only: both stages
         # are exactly reconstructable from the instrumented call log.
@@ -287,8 +310,13 @@ def _per_pull_separate(inst, log):
     return None, np.linalg.solve(phi[chosen], sample_vars), False, False
 
 
+@pytest.mark.usefixtures("per_pull_sampling")
 class TestPerPullEquivalence:
-    """Sufficient-statistic estimators match the one-row-per-pull regressions."""
+    """Sufficient-statistic estimators match the one-row-per-pull regressions.
+
+    The moments are reduced from logged pulls (``per_pull_moments``), so both
+    forms see the same data.
+    """
 
     ESTIMATORS = {
         "head": (lambda inst, env, seed: head_estimate(inst, env, 4000), _per_pull_head),
@@ -349,3 +377,22 @@ class TestPerPullEquivalence:
         coeffs = np.linalg.lstsq(phi[idx], (ys - X[idx] @ theta) ** 2, rcond=None)[0]
         assert np.allclose(est.theta_hat, theta, rtol=0, atol=1e-10)
         assert np.allclose(vech(est.sigma_hat_matrix), coeffs, rtol=0, atol=1e-10)
+
+
+class TestNoPerPullDraws:
+    def test_library_never_draws_single_pulls(self, monkeypatch):
+        # Every estimator, and the H-RAGE burn-in, reads per-arm moments only.
+        def refuse(env, schedule):
+            raise AssertionError("per-pull sample_schedule called")
+
+        monkeypatch.setattr(Environment, "sample_schedule", refuse)
+        inst = build_varest_instance({"d": 4, "n_sphere": 30, "n_small": 60}, 0)
+        for estimate in (
+            lambda env: head_estimate(inst, env, 4000),
+            lambda env: uniform_estimate(inst, env, 4000, rng_seed=1),
+            lambda env: separate_arm_estimate(inst, env, 4000),
+        ):
+            assert estimate(Environment.from_instance(inst, seed=3)).budget_used >= 4000
+        task = IdentTask("bai", 0.05, three_arm_instance())
+        trace = hrage_run(task, Environment.from_instance(task.instance, seed=2), RunConfig(c_prime=1.0))
+        assert trace.burn_in_pulls > 0 and trace.correct
