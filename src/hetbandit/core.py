@@ -164,25 +164,6 @@ def greedy_spanning_subset(vectors: np.ndarray, size: int) -> list[int]:
     return chosen
 
 
-def _cholesky_ridged(A: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of symmetric PSD ``A``, with a ridge fallback.
-
-    The fallback factors ``A`` plus 1e-10 * trace(A)/k on the diagonal; if
-    that still fails, raises :class:`SingularInformation`.
-    """
-    try:
-        return np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        k = A.shape[0]
-        ridge = 1e-10 * np.trace(A) / k
-        try:
-            if ridge <= 0:
-                raise np.linalg.LinAlgError
-            return np.linalg.cholesky(A + ridge * np.eye(k))
-        except np.linalg.LinAlgError:
-            raise SingularInformation(float(np.linalg.eigvalsh(A).min())) from None
-
-
 def solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric PD A via Cholesky, with a ridge fallback.
 
@@ -191,9 +172,31 @@ def solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    c = _cholesky_ridged(A)
+    try:
+        c = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        k = A.shape[0]
+        ridge = 1e-10 * np.trace(A) / k
+        try:
+            if ridge <= 0:
+                raise np.linalg.LinAlgError
+            c = np.linalg.cholesky(A + ridge * np.eye(k))
+        except np.linalg.LinAlgError:
+            raise SingularInformation(float(np.linalg.eigvalsh(A).min())) from None
     z = np.linalg.solve(c, b)
     return np.linalg.solve(c.T, z)
+
+
+def quad_forms(X: np.ndarray, V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``v' A^+ v`` for each row ``v`` of ``V``, with ``A = sum_i w_i x_i x_i'``,
+    from one ``eigh``: eigenvalues above ``lambda_max * r * eps`` span the
+    range of ``A``, and a row more than ``1e-9`` of its norm outside it
+    gets ``inf``."""
+    eig, vecs = np.linalg.eigh((X * w[:, None]).T @ X)
+    keep = eig > eig[-1] * eig.size * np.finfo(np.float64).eps
+    coords = V @ vecs
+    outside = np.linalg.norm(coords[:, ~keep], axis=1) > 1e-9 * np.linalg.norm(V, axis=1)
+    return np.where(outside, math.inf, (coords[:, keep] ** 2 / eig[keep]).sum(axis=1))
 
 
 def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:

@@ -5,15 +5,17 @@ worst predictive variance ``max_v v' A(lam)^{-1} v`` with
 ``A(lam) = sum_x lam_x x x' / var_x``. Evaluation vectors may differ from
 the sample vectors (transductive case) but must lie in their span.
 
-Self-evaluating problems with one common variance have a known optimum (the
-span dimension times the variance), which multiplicative D-optimal updates
-approach. Everything else goes to one engine: exponentiated gradient on a
-mixture of the evaluation vectors, run on the floored design
-``(1 - eta) lam + eta / n`` with ``eta = tolerance / 3``. The floor keeps
-``A`` well conditioned where the optimum leaves it singular, and the dual
-bound, scaled by ``1 - eta``, bounds the original optimum, so a design
-returned ``certified`` is within ``tolerance`` of it. Pruned unfloored weights
-are returned whenever they certify too, so designs stay sparse.
+No invertible map of the space changes that value, so problems are solved
+whitened: the uniform design has ``A = I``. Self-evaluating problems with one
+common variance have a known optimum (the span dimension times the variance),
+which multiplicative D-optimal updates approach. Everything else goes to one
+engine: exponentiated gradient on a mixture of the evaluation vectors, run on
+the floored design ``(1 - eta) lam + eta / n`` with ``eta = tolerance / 3``.
+Its ``A`` stays between ``eta I`` and ``n I``, so the dual bound is formed at
+every step with no condition gate; scaled by ``1 - eta`` it bounds the
+original optimum, so a design returned ``certified`` is within ``tolerance``
+of it. Pruned unfloored weights, valued like every candidate through the
+pseudo-inverse, are returned whenever they certify too, so designs stay sparse.
 """
 
 from __future__ import annotations
@@ -30,27 +32,17 @@ import numpy as np
 from .core import (
     Design,
     DimensionMismatch,
-    SingularInformation,
     SpanViolation,
     _as_matrix,
-    _cholesky_ridged,
-    solve_psd,
+    quad_forms,
+    solve_psd,  # not called here; bench/probe.py counts calls through this name
 )
 
 PRUNE_THRESHOLD = 1e-7
-# Beyond this condition proxy the dual bound drowns in solve error.
-BOUND_COND_LIMIT = 1e8
 # Damped multiplicative design steps per mixture step of the engine.
 INNER_STEPS = 5
 
 logger = logging.getLogger("hetbandit")
-
-
-def _span_basis(X: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the row span of ``X``."""
-    u, s, _ = np.linalg.svd(X.T, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps)) if s.size else 0
-    return u[:, :rank]
 
 
 def _in_span(V: np.ndarray, basis: np.ndarray) -> bool:
@@ -66,9 +58,10 @@ class DesignProblem:
     ``variances`` are per-sample noise variances dividing each outer product
     (all ones for the unweighted problem); ``max_iters`` caps the engine's
     mixture steps. Construction fails with :class:`SpanViolation` if any
-    evaluation vector leaves the sample span; internally the problem is
-    reduced to an orthonormal basis of that span so rank-deficient sample
-    sets are handled uniformly.
+    evaluation vector leaves the sample span. Internally one SVD of the rows
+    ``x_i sqrt(prec_i / n)`` gives that span and whitens the problem in it
+    (``basis / singular_values``), so the uniform design has ``A = I`` and
+    rank-deficient or ill-conditioned sample sets are handled uniformly.
     """
 
     sample_vectors: np.ndarray
@@ -76,7 +69,6 @@ class DesignProblem:
     variances: np.ndarray | None = None
     tolerance: float = 1e-3
     max_iters: int = 20_000
-    _basis: np.ndarray = field(init=False, repr=False)
     _samples_r: np.ndarray = field(init=False, repr=False)
     _evals_r: np.ndarray = field(init=False, repr=False)
 
@@ -99,29 +91,28 @@ class DesignProblem:
         self.eval_vectors = V
         self.variances = w
 
-        # Reduce to the sample span so singular directions never enter solves.
-        basis = _span_basis(X)
-        if basis.shape[1] == 0:
+        # Whiten on the sample span so singular directions never enter solves.
+        root = np.sqrt(1.0 / (w * X.shape[0]))
+        u, s, _ = np.linalg.svd((X * root[:, None]).T, full_matrices=False)
+        rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps)) if s.size else 0
+        if rank == 0:
             raise ValueError("sample vectors are all zero")
+        basis = u[:, :rank]
         if not _in_span(V, basis):
             raise SpanViolation("evaluation vector outside span of sample vectors")
-        self._basis = basis
-        self._samples_r = X @ basis
-        self._evals_r = V @ basis
+        whiten = basis / s[:rank]
+        self._samples_r = X @ whiten
+        self._evals_r = V @ whiten
         self._self_eval = X.shape == V.shape and np.array_equal(X, V)
 
 
-def _psd_inverse_cond(A: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """``A^-1`` from one Cholesky factor and the squared ratio of its extreme
-    pivots as a condition proxy; ``(None, inf)`` if the factorization fails."""
+def _psd_inverse(A: np.ndarray) -> np.ndarray | None:
+    """``A^-1`` from one Cholesky factor; None if the factorization fails."""
     try:
-        c = np.linalg.cholesky(A)
-        c_inv = np.linalg.inv(c)
+        c_inv = np.linalg.inv(np.linalg.cholesky(A))
     except np.linalg.LinAlgError:
-        return None, math.inf
-    diag = c.diagonal()
-    cond = float((diag.max() / diag.min()) ** 2)
-    return c_inv.T @ c_inv, cond
+        return None
+    return c_inv.T @ c_inv
 
 
 def _d_optimal_warmstart(X, prec, target, tolerance, iters=3000):
@@ -134,8 +125,8 @@ def _d_optimal_warmstart(X, prec, target, tolerance, iters=3000):
     for _ in range(iters):
         A = (X * (lam * prec)[:, None]).T @ X
         try:
-            c = _cholesky_ridged(A)
-        except SingularInformation:
+            c = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
             break
         # x' A^-1 x is the squared norm of L^-1 x.
         root = X @ np.linalg.inv(c).T
@@ -162,7 +153,10 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
     floored optimum below by ``phi - (1 - eta) (max t - lam . t)``. Since
     ``A(lam_eff) >= (1 - eta) A(lam)``, the original optimum is at least
     ``1 - eta`` times the floored one, so ``(1 - eta)`` times that bound is a
-    lower bound on it. Each step factors its ``A`` once. Stops once the best
+    lower bound on it. With ``X`` whitened as in :class:`DesignProblem`,
+    every floored ``A`` lies between ``eta I`` and ``n I`` (condition at most
+    ``3 n / tolerance``), so the bound is formed at every step with no
+    condition gate. Each step factors its ``A`` once. Stops once the best
     floored value is within ``tolerance`` of the bound, or after
     ``max_steps`` mixture steps; returns the bound and the unfloored weights
     of the best floored design seen.
@@ -175,7 +169,7 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
     for _ in range(max_steps):
         for step in range(INNER_STEPS + 1):
             A = (X * (((1.0 - eta) * lam + eta / n) * prec)[:, None]).T @ X
-            A_inv, cond = _psd_inverse_cond(A)
+            A_inv = _psd_inverse(A)
             if A_inv is None:
                 return best_bound, best_lam
             # t = prec x' A^-1 M A^-1 x as a weighted sum of squares, never negative.
@@ -192,10 +186,9 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
         f = float(quads.max())
         if not np.isfinite(f) or f <= 0:
             break
-        if cond <= BOUND_COND_LIMIT:
-            phi = float(mu @ quads)
-            bound = (1.0 - eta) * (phi - (1.0 - eta) * (float(t.max()) - lam_t))
-            best_bound = max(best_bound, bound)
+        phi = float(mu @ quads)
+        bound = (1.0 - eta) * (phi - (1.0 - eta) * (float(t.max()) - lam_t))
+        best_bound = max(best_bound, bound)
         if f < best_value:
             best_value, best_lam = f, lam
         if best_value <= best_bound * (1.0 + tolerance):
@@ -206,16 +199,8 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
 
 
 def _design_value(X: np.ndarray, V: np.ndarray, prec: np.ndarray, lam: np.ndarray) -> float:
-    """``max_v v' A(lam)^+ v``. A singular ``A`` is solved on the span of the
-    design's support, and the value is infinite if ``V`` leaves that span."""
-    A = (X * (lam * prec)[:, None]).T @ X
-    if _psd_inverse_cond(A)[1] > BOUND_COND_LIMIT:
-        basis = _span_basis(X[lam > 0])
-        if not _in_span(V, basis):
-            return math.inf
-        X, V = X @ basis, V @ basis
-        A = (X * (lam * prec)[:, None]).T @ X
-    return float(np.einsum("mr,rm->m", V, solve_psd(A, V.T)).max())
+    """``max_v v' A(lam)^+ v``, infinite if ``V`` leaves the range of ``A``."""
+    return float(quad_forms(X, V, lam * prec).max())
 
 
 # Solved designs kept per process, least recently used first out.

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateGap, Design, DimensionMismatch, HeteroInstance, fit_arm_sums, solve_psd
+from .core import DegenerateGap, Design, DimensionMismatch, HeteroInstance, fit_arm_sums, quad_forms
+from .core import solve_psd  # not called here; bench/probe.py counts calls through this name
 from .design import DesignProblem, round_design, solve_design
 from .env import Environment
 from .varest import DEFAULT_C_PRIME, head_budget_for_half, head_estimate
@@ -356,7 +357,9 @@ def oracle_run(
     unweighted worst-case for ``max``), then draws doubling batches from the
     rounded design until every identification pair passes its verification
     inequality: the empirical margin must exceed the union-bound confidence
-    width. Gives up (flagged) once 64x the nominal budget is spent.
+    width, from ``v' A^+ v`` for the pulled information matrix ``A``: a pair
+    outside the span of the pulled arms never verifies. Gives up (flagged)
+    once 64x the nominal budget is spent.
     """
     if sigma_source not in SIGMA_SOURCES:
         raise ValueError(f"sigma_source must be one of {SIGMA_SOURCES}")
@@ -402,11 +405,8 @@ def oracle_run(
         total += pulls
 
         theta_hat, _ = fit_arm_sums(inst.arms, counts, sums, precisions)
-        mask = counts > 0
-        Xs = inst.arms[mask]
-        A = (Xs * (counts[mask] * precisions[mask])[:, None]).T @ Xs
-        quad = np.einsum("mr,rm->m", directions, solve_psd(A, directions.T))
-        widths = np.sqrt(2.0 * width_scale * np.maximum(quad, 0.0) * log_term)
+        quad = quad_forms(inst.arms, directions, counts * precisions)
+        widths = np.sqrt(2.0 * width_scale * quad * log_term)
 
         margins = directions @ theta_hat
         if task.objective == "ls":

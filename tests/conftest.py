@@ -2,9 +2,42 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
+import pytest
 
 from hetbandit import HeteroInstance, IdentTask
+
+UNCERTIFIED_MESSAGE = "design solve not certified"
+
+
+class _UncertifiedSolves(logging.Handler):
+    """Collects the solver's uncertified-solve warnings."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        message = record.getMessage()
+        if message.startswith(UNCERTIFIED_MESSAGE):
+            self.messages.append(message)
+
+
+@pytest.fixture(autouse=True)
+def no_uncertified_solves(request):
+    """Fail a test whose design solves do not all certify, unless it is
+    marked ``uncertified`` (it expects such a solve)."""
+    handler = _UncertifiedSolves()
+    logger = logging.getLogger("hetbandit")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    if handler.messages and request.node.get_closest_marker("uncertified") is None:
+        pytest.fail(f"{len(handler.messages)} design solve(s) not certified: {handler.messages[0]}")
 
 
 def simplex_grid(n_points: int, step: float) -> np.ndarray:

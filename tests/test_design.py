@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_minimax_value
@@ -20,11 +20,11 @@ from hetbandit import (
     solve_design,
 )
 from hetbandit import design as design_module
-from hetbandit.core import quad_form_inv
+from hetbandit.core import SingularInformation, quad_form_inv, quad_forms
 from hetbandit.design import (
     MEMO_SIZE,
     _design_value,
-    _psd_inverse_cond,
+    _psd_inverse,
     _solve_design,
 )
 
@@ -106,12 +106,31 @@ class TestSolveDesign:
         assert np.array_equal(hit.weights, one.weights)
         assert hit.value == one.value
 
+    def test_invariant_under_ill_conditioned_map(self):
+        # The value v' A^-1 v does not change under an invertible map of the
+        # space, so neither may the solve: T squeezes one axis by 1e-4.
+        rng = np.random.default_rng(31)
+        arms = rng.standard_normal((8, 3))
+        evals = rng.standard_normal((4, 3))
+        variances = rng.uniform(0.5, 2.0, size=8)
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        t = q @ np.diag([1.0, 1e-2, 1e-4])
+        base = _solve_design(DesignProblem(arms, evals, variances=variances,
+                                           tolerance=1e-3, max_iters=500))
+        mapped = _solve_design(DesignProblem(arms @ t, evals @ t, variances=variances,
+                                             tolerance=1e-3, max_iters=500))
+        assert base.certified and mapped.certified
+        np.testing.assert_allclose(mapped.weights, base.weights, rtol=0, atol=1e-12)
+        assert mapped.value == pytest.approx(base.value, rel=1e-12)
+
+    @pytest.mark.uncertified
     def test_non_certified_flag_on_iteration_cap(self):
         rng = np.random.default_rng(2)
         arms = rng.standard_normal((15, 4))
         design = solve_design(DesignProblem(arms, arms, tolerance=1e-9, max_iters=3))
         assert not design.certified
 
+    @pytest.mark.uncertified
     def test_uncertified_solve_logs_its_gap(self, caplog):
         rng = np.random.default_rng(2)
         arms = rng.standard_normal((15, 4))
@@ -156,23 +175,33 @@ class TestPsdInverse:
         rng = np.random.default_rng(17)
         for k in (1, 2, 3, 4, 7, 12):
             a = random_spd(rng, k)
-            a_inv, _ = _psd_inverse_cond(a)
+            a_inv = _psd_inverse(a)
             expected = np.linalg.inv(a)
             assert np.linalg.norm(a_inv - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_condition_proxy_matches_solve(self):
-        # The proxy is the squared ratio of the Cholesky factor's extreme pivots.
+    def test_whitened_floor_bounds_condition(self):
+        # Whitening gives the uniform design A = I, so every floored design
+        # lam_eff = (1 - eta) lam + eta / n has eta I <= A <= n I.
         rng = np.random.default_rng(18)
-        for k in (2, 4, 9):
-            a = random_spd(rng, k)
-            _, cond = _psd_inverse_cond(a)
-            pivots = np.diagonal(np.linalg.cholesky(a))
-            assert cond == float((pivots.max() / pivots.min()) ** 2)
-            assert 1.0 <= cond <= np.linalg.cond(a) * (1 + 1e-12)
+        for n, d, squeeze in ((3, 3, 1e-4), (9, 4, 1e-6), (20, 5, 1.0)):
+            arms = rng.standard_normal((n, d)) * np.geomspace(1.0, squeeze, d)
+            variances = rng.uniform(0.5, 2.0, size=n)
+            tolerance = 1e-3
+            problem = DesignProblem(arms, arms[:2], variances=variances, tolerance=tolerance)
+            X, prec = problem._samples_r, 1.0 / variances
+            uniform = (X * (prec / n)[:, None]).T @ X
+            np.testing.assert_allclose(uniform, np.eye(d), rtol=0, atol=1e-12)
+            eta = tolerance / 3.0
+            for lam in (np.eye(n)[0], rng.dirichlet(np.full(n, 0.1))):
+                lam_eff = (1.0 - eta) * lam + eta / n
+                A = (X * (lam_eff * prec)[:, None]).T @ X
+                eig = np.linalg.eigvalsh(A)
+                assert eta * (1 - 1e-9) <= eig[0] and eig[-1] <= n * (1 + 1e-9)
+                assert _psd_inverse(A) is not None
 
     def test_singular_psd(self):
         for a in (np.ones((2, 2)), np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0])):
-            assert _psd_inverse_cond(a) == (None, math.inf)
+            assert _psd_inverse(a) is None
 
 
 def example1_round_problem(active_rows, variances=None, tolerance=1e-2):
@@ -274,16 +303,34 @@ class TestSolvePaths:
         # A restricted to the first two axes is diag(0.25, 0.375).
         assert _design_value(X, inside, prec, lam) == pytest.approx(4.0 + 1.0 / 0.375)
         assert _design_value(X, np.array([[0.0, 0.0, 1.0]]), prec, lam) == math.inf
+        # Per row: a finite value inside the range, inf for the row outside it.
+        rows = quad_forms(X, np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]), lam * prec)
+        assert rows[0] == pytest.approx(4.0 + 1.0 / 0.375, rel=1e-12)
+        assert rows[1] == math.inf
+        # Against the SVD reference pinv_value, for full-rank weights and
+        # for singular weights whose range holds every row.
+        rng = np.random.default_rng(40)
+        arms = rng.standard_normal((6, 3))
+        variances = rng.uniform(0.5, 2.0, size=6)
+        for weights, evals in (
+            (rng.dirichlet(np.ones(6)), rng.standard_normal((4, 3))),
+            (np.array([0.3, 0.7, 0.0, 0.0, 0.0, 0.0]), rng.standard_normal((4, 2)) @ arms[:2]),
+        ):
+            got = quad_forms(arms, evals, weights / variances)
+            expected = [pinv_value(arms, v[None, :], variances, weights) for v in evals]
+            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
 
 
 def pinv_value(arms, evals, variances, weights):
-    """max_v v' A(w)^+ v from an eigendecomposition, independent of the solver."""
-    A = (arms * (weights / variances)[:, None]).T @ arms
-    eig, vecs = np.linalg.eigh(A)
-    keep = eig > eig.max() * 1e-12
-    coords = evals @ vecs
+    """max_v v' A(w)^+ v from an SVD of the root-weighted arms, independent of
+    the solver. Singular values of the rows keep the relative accuracy that
+    the small eigenvalues of an ill-conditioned ``A`` lose."""
+    _, s, vt = np.linalg.svd(arms * np.sqrt(weights / variances)[:, None])
+    s = np.concatenate([s, np.zeros(vt.shape[0] - s.size)])
+    keep = s > s.max() * 1e-6
+    coords = evals @ vt.T
     assert np.abs(coords[:, ~keep]).max(initial=0.0) <= 1e-9
-    return float(((coords[:, keep] ** 2) / eig[keep]).sum(axis=1).max())
+    return float(((coords[:, keep] / s[keep]) ** 2).sum(axis=1).max())
 
 
 class TestSingularOptimum:
@@ -297,6 +344,8 @@ class TestSingularOptimum:
         st.sampled_from([1e-2, 1e-3]),
         st.integers(0, 2**32 - 1),
     )
+    # Arm singular values 2.25, 0.70 and 1e-4: never certified without whitening.
+    @example(n_arms=3, n_evals=1, tolerance=1e-2, seed=564)
     def test_certified_value_within_tolerance_of_grid(self, n_arms, n_evals, tolerance, seed):
         rng = np.random.default_rng(seed)
         arms = rng.standard_normal((n_arms, 2))
@@ -392,10 +441,10 @@ class TestSolveDesignMemo:
 
     def test_failed_solve_not_stored(self, empty_memo, monkeypatch):
         def failing_engine(problem):
-            raise design_module.SingularInformation(0.0)
+            raise SingularInformation(0.0)
 
         monkeypatch.setattr(design_module, "_solve_design", failing_engine)
-        with pytest.raises(design_module.SingularInformation):
+        with pytest.raises(SingularInformation):
             solve_design(memo_problem())
         assert len(empty_memo) == 0
 
