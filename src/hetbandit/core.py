@@ -250,7 +250,8 @@ class HeteroInstance:
 
     def __post_init__(self):
         arms = _frozen(_as_matrix(self.arms, "arms"))
-        targets = _frozen(_as_matrix(self.targets, "targets"))
+        # Targets given as the arms array itself share its frozen copy.
+        targets = arms if self.targets is self.arms else _frozen(_as_matrix(self.targets, "targets"))
         theta = _frozen(np.asarray(self.theta_star, dtype=np.float64).ravel())
         sigma = _frozen(np.asarray(self.sigma_star, dtype=np.float64))
         d = arms.shape[1]

@@ -16,6 +16,7 @@ every step with no condition gate; scaled by ``1 - eta`` it bounds the
 original optimum, so a design returned ``certified`` is within ``tolerance``
 of it. Pruned unfloored weights, valued like every candidate through the
 pseudo-inverse, are returned whenever they certify too, so designs stay sparse.
+A problem the per-process memo already holds is not whitened again.
 """
 
 from __future__ import annotations
@@ -58,10 +59,13 @@ class DesignProblem:
     ``variances`` are per-sample noise variances dividing each outer product
     (all ones for the unweighted problem); ``max_iters`` caps the engine's
     mixture steps. Construction fails with :class:`SpanViolation` if any
-    evaluation vector leaves the sample span. Internally one SVD of the rows
-    ``x_i sqrt(prec_i / n)`` gives that span and whitens the problem in it
-    (``basis / singular_values``), so the uniform design has ``A = I`` and
-    rank-deficient or ill-conditioned sample sets are handled uniformly.
+    evaluation vector leaves the sample span, unless the memo of
+    :func:`solve_design` holds the problem (checked already, bit for bit).
+    That check takes one SVD of the rows ``x_i sqrt(prec_i / n)``, which
+    gives the span and whitens the problem in it (``basis /
+    singular_values``), so the uniform design has ``A = I`` and
+    rank-deficient or ill-conditioned sample sets are handled uniformly. A
+    solve whitens on demand a problem built on a memo hit.
     """
 
     sample_vectors: np.ndarray
@@ -69,8 +73,8 @@ class DesignProblem:
     variances: np.ndarray | None = None
     tolerance: float = 1e-3
     max_iters: int = 20_000
-    _samples_r: np.ndarray = field(init=False, repr=False)
-    _evals_r: np.ndarray = field(init=False, repr=False)
+    _samples_r: np.ndarray | None = field(default=None, init=False, repr=False)
+    _evals_r: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         X = _as_matrix(self.sample_vectors, "sample_vectors")
@@ -90,29 +94,29 @@ class DesignProblem:
         self.sample_vectors = X
         self.eval_vectors = V
         self.variances = w
-
-        # Whiten on the sample span so singular directions never enter solves.
-        root = np.sqrt(1.0 / (w * X.shape[0]))
-        u, s, _ = np.linalg.svd((X * root[:, None]).T, full_matrices=False)
-        rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps)) if s.size else 0
-        if rank == 0:
-            raise ValueError("sample vectors are all zero")
-        basis = u[:, :rank]
-        if not _in_span(V, basis):
-            raise SpanViolation("evaluation vector outside span of sample vectors")
-        whiten = basis / s[:rank]
-        self._samples_r = X @ whiten
-        self._evals_r = V @ whiten
         self._self_eval = X.shape == V.shape and np.array_equal(X, V)
+        self._digest = _problem_digest(self)
+        with _memo_lock:
+            seen = self._digest in _memo
+        if not seen:
+            self._whitened()
 
-
-def _psd_inverse(A: np.ndarray) -> np.ndarray | None:
-    """``A^-1`` from one Cholesky factor; None if the factorization fails."""
-    try:
-        c_inv = np.linalg.inv(np.linalg.cholesky(A))
-    except np.linalg.LinAlgError:
-        return None
-    return c_inv.T @ c_inv
+    def _whitened(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sample and evaluation vectors whitened on the sample span, so
+        singular directions never enter solves; computed on first use."""
+        if self._samples_r is None:
+            X, V = self.sample_vectors, self.eval_vectors
+            root = np.sqrt(1.0 / (self.variances * X.shape[0]))
+            u, s, _ = np.linalg.svd((X * root[:, None]).T, full_matrices=False)
+            rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps)) if s.size else 0
+            if rank == 0:
+                raise ValueError("sample vectors are all zero")
+            basis = u[:, :rank]
+            if not _in_span(V, basis):
+                raise SpanViolation("evaluation vector outside span of sample vectors")
+            whiten = basis / s[:rank]
+            self._samples_r, self._evals_r = X @ whiten, V @ whiten
+        return self._samples_r, self._evals_r
 
 
 def _d_optimal_warmstart(X, prec, target, tolerance, iters=3000):
@@ -156,31 +160,38 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
     lower bound on it. With ``X`` whitened as in :class:`DesignProblem`,
     every floored ``A`` lies between ``eta I`` and ``n I`` (condition at most
     ``3 n / tolerance``), so the bound is formed at every step with no
-    condition gate. Each step factors its ``A`` once. Stops once the best
+    condition gate. One ``np.linalg.solve`` after each design update gives
+    ``C = A^-1 V'``; ``C`` and ``X C`` serve the next update and the bound,
+    and ``t`` is recomputed from ``X C`` when ``mu`` moves. Stops once the best
     floored value is within ``tolerance`` of the bound, or after
     ``max_steps`` mixture steps; returns the bound and the unfloored weights
     of the best floored design seen.
     """
     n, m = X.shape[0], V.shape[0]
     eta = tolerance / 3.0
+    VT = np.ascontiguousarray(V.T)
     mu = np.full(m, 1.0 / m)
     lam = np.full(n, 1.0 / n)
     best_bound, best_value, best_lam = -math.inf, math.inf, lam
+    C = None
     for _ in range(max_steps):
         for step in range(INNER_STEPS + 1):
-            A = (X * (((1.0 - eta) * lam + eta / n) * prec)[:, None]).T @ X
-            A_inv = _psd_inverse(A)
-            if A_inv is None:
-                return best_bound, best_lam
+            if C is None:
+                A = (X * (((1.0 - eta) * lam + eta / n) * prec)[:, None]).T @ X
+                try:
+                    C = np.linalg.solve(A, VT)
+                except np.linalg.LinAlgError:
+                    return best_bound, best_lam
+                XC = X @ C
             # t = prec x' A^-1 M A^-1 x as a weighted sum of squares, never negative.
-            C = A_inv @ V.T
-            t = prec * ((X @ C) ** 2 @ mu)
+            t = prec * (XC ** 2 @ mu)
             lam_t = float(lam @ t)
             if step == INNER_STEPS or not np.isfinite(lam_t) or lam_t <= 0:
                 break
             # Square-root damping keeps the fixed point from oscillating.
             lam = lam * np.sqrt(t / lam_t)
             lam /= lam.sum()
+            C = None
 
         quads = np.einsum("mr,rm->m", V, C)
         f = float(quads.max())
@@ -224,11 +235,12 @@ def solve_design(problem: DesignProblem) -> Design:
 
     The solver is deterministic and :class:`Design` is frozen, so a problem
     already solved in this process (same arrays bit for bit, same tolerance
-    and iteration cap) returns the stored design. The memo holds digests and
-    designs only, never the problem's arrays, and at most ``MEMO_SIZE`` of
-    them. Failed solves are not stored.
+    and iteration cap) returns the stored design, under the digest taken at
+    construction. The memo holds digests and designs only, never the
+    problem's arrays, and at most ``MEMO_SIZE`` of them. Failed solves are
+    not stored.
     """
-    key = _problem_digest(problem)
+    key = problem._digest
     with _memo_lock:
         design = _memo.get(key)
         if design is not None:
@@ -251,7 +263,7 @@ def _solve_design(problem: DesignProblem) -> Design:
     ``tolerance`` of the bound is returned ``certified``; otherwise the best,
     uncertified, with a warning of its gap ``value / bound - 1`` logged.
     """
-    X, V = problem._samples_r, problem._evals_r
+    X, V = problem._whitened()
     prec = 1.0 / problem.variances
     n, r = X.shape
     if V.shape[0] == 0:

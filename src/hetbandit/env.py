@@ -23,7 +23,7 @@ class Environment:
 
     # Callers may keep many environments (one per run), so no per-instance dict.
     __slots__ = ("arms", "theta_star", "sigma_star", "noise_mode", "recorder", "label",
-                 "_seed_seq", "_rng", "pull_count")
+                 "_seed_seq", "_rng", "pull_count", "_held_moments")
 
     def __init__(
         self,
@@ -47,6 +47,7 @@ class Environment:
         self._seed_seq = _seed_seq if _seed_seq is not None else np.random.SeedSequence(seed)
         self._rng = np.random.Generator(np.random.Philox(self._seed_seq))
         self.pull_count = 0
+        self._held_moments: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_instance(
@@ -87,7 +88,10 @@ class Environment:
 
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-arm means and noise standard deviations, computed per call
-        rather than kept on every environment."""
+        rather than kept on every environment; a draw that needs them twice
+        holds them for its duration."""
+        if self._held_moments is not None:
+            return self._held_moments
         var = np.einsum("ij,jk,ik->i", self.arms, self.sigma_star, self.arms)
         return self.arms @ self.theta_star, np.sqrt(np.maximum(var, 0.0))
 
@@ -148,9 +152,15 @@ class Environment:
         :meth:`sample_schedule_sums`. Arms with at most one pull read zero and
         take no draw.
         """
-        counts, sums = self.sample_schedule_sums(schedule)
+        # The sums go through the public method, so that its wrappers (the
+        # benchmark probe counts pulls there) see these pulls too.
+        moments = self._held_moments = self._moments()
+        try:
+            counts, sums = self.sample_schedule_sums(schedule)
+        finally:
+            self._held_moments = None
         ss = np.zeros(counts.size)
         if self.noise_mode == "gaussian":
             many = counts > 1
-            ss[many] = self._moments()[1][many] ** 2 * self._rng.chisquare(counts[many] - 1)
+            ss[many] = moments[1][many] ** 2 * self._rng.chisquare(counts[many] - 1)
         return counts, sums, ss

@@ -238,6 +238,17 @@ class TestHeteroInstance:
         with pytest.raises(ValueError):
             inst.arms[0, 0] = 5.0
 
+    def test_targets_given_as_arms_share_one_copy(self):
+        arms = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        inst = HeteroInstance.from_truth(arms, arms, np.array([1.0, 0.0]), np.eye(2))
+        assert inst.targets is inst.arms
+        assert not inst.targets.flags.writeable
+        arms[0, 0] = 5.0  # the caller's array was copied
+        assert inst.arms[0, 0] == 1.0
+        other = HeteroInstance.from_truth(arms, arms.copy(), np.array([1.0, 0.0]), np.eye(2))
+        assert other.targets is not other.arms
+        assert np.array_equal(other.targets, other.arms)
+
 
 class TestDesignType:
     def test_rejects_negative_weights(self):

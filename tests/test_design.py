@@ -22,9 +22,10 @@ from hetbandit import (
 from hetbandit import design as design_module
 from hetbandit.core import SingularInformation, quad_form_inv, quad_forms
 from hetbandit.design import (
+    INNER_STEPS,
     MEMO_SIZE,
     _design_value,
-    _psd_inverse,
+    _floored_eg_solve,
     _solve_design,
 )
 
@@ -165,19 +166,93 @@ class TestSolveDesign:
             DesignProblem(np.eye(2), np.eye(3))
 
 
-def random_spd(rng, k):
-    g = rng.standard_normal((k, k + 2))
-    return g @ g.T + 0.1 * np.eye(k)
+def cholesky_inverse_engine(X, V, prec, tolerance, max_steps):
+    """Reference: the engine as it stood before it solved for ``A^-1 V'``
+    directly. Every inner step inverts ``A`` through its Cholesky factor, and
+    each mixture step factors again the ``lam`` that the one before ended on.
+    Returns the bound, the weights and the number of mixture steps taken."""
+    n, m = X.shape[0], V.shape[0]
+    eta = tolerance / 3.0
+    mu = np.full(m, 1.0 / m)
+    lam = np.full(n, 1.0 / n)
+    best_bound, best_value, best_lam = -math.inf, math.inf, lam
+    steps = 0
+    for _ in range(max_steps):
+        steps += 1
+        for step in range(INNER_STEPS + 1):
+            A = (X * (((1.0 - eta) * lam + eta / n) * prec)[:, None]).T @ X
+            c_inv = np.linalg.inv(np.linalg.cholesky(A))
+            C = (c_inv.T @ c_inv) @ V.T
+            t = prec * ((X @ C) ** 2 @ mu)
+            lam_t = float(lam @ t)
+            if step == INNER_STEPS or not np.isfinite(lam_t) or lam_t <= 0:
+                break
+            lam = lam * np.sqrt(t / lam_t)
+            lam /= lam.sum()
+        quads = np.einsum("mr,rm->m", V, C)
+        f = float(quads.max())
+        if not np.isfinite(f) or f <= 0:
+            break
+        phi = float(mu @ quads)
+        bound = (1.0 - eta) * (phi - (1.0 - eta) * (float(t.max()) - lam_t))
+        best_bound = max(best_bound, bound)
+        if f < best_value:
+            best_value, best_lam = f, lam
+        if best_value <= best_bound * (1.0 + tolerance):
+            break
+        mu = mu * np.exp(2.0 * (quads - f) / f)
+        mu /= mu.sum()
+    return best_bound, best_lam, steps
 
 
-class TestPsdInverse:
-    def test_matches_numpy_inverse(self):
-        rng = np.random.default_rng(17)
-        for k in (1, 2, 3, 4, 7, 12):
-            a = random_spd(rng, k)
-            a_inv = _psd_inverse(a)
-            expected = np.linalg.inv(a)
-            assert np.linalg.norm(a_inv - expected) <= 1e-12 * np.linalg.norm(expected)
+def weighted_transductive_problems(count=50, seed=60):
+    """Whitened engine inputs: pairwise differences of random arms, with
+    random variances and tolerances."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(2, 5))
+        n = int(rng.integers(d + 1, 10))
+        arms = rng.standard_normal((n, d))
+        iu, ju = np.triu_indices(n, k=1)
+        pick = rng.choice(iu.size, size=int(rng.integers(1, min(iu.size, 6) + 1)), replace=False)
+        problem = DesignProblem(arms, arms[iu[pick]] - arms[ju[pick]],
+                                variances=rng.uniform(0.5, 2.0, size=n),
+                                tolerance=float(rng.choice([1e-2, 1e-3])), max_iters=2000)
+        X, V = problem._whitened()
+        yield X, V, 1.0 / problem.variances, problem.tolerance, problem.max_iters
+
+
+class TestFlooredEngine:
+    def test_matches_cholesky_inverse_reference(self):
+        for X, V, prec, tolerance, max_steps in weighted_transductive_problems():
+            bound, lam = _floored_eg_solve(X, V, prec, tolerance, max_steps)
+            ref_bound, ref_lam, _ = cholesky_inverse_engine(X, V, prec, tolerance, max_steps)
+            assert abs(bound - ref_bound) <= 1e-12 * abs(ref_bound)
+            np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=1e-12)
+
+    def test_one_solve_per_design_update(self, monkeypatch):
+        # One factorization for the uniform start, then one after each of
+        # the INNER_STEPS design updates of every mixture step.
+        solve = np.linalg.solve
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        for X, V, prec, tolerance, max_steps in weighted_transductive_problems():
+            _, _, steps = cholesky_inverse_engine(X, V, prec, tolerance, max_steps)
+            calls.clear()
+            _floored_eg_solve(X, V, prec, tolerance, max_steps)
+            assert len(calls) == 1 + INNER_STEPS * steps
+
+    def test_singular_information_ends_the_solve(self):
+        # Unwhitened samples with a zero coordinate: the first A is singular.
+        X = np.array([[1.0, 0.0], [2.0, 0.0]])
+        bound, lam = _floored_eg_solve(X, np.array([[1.0, 0.0]]), np.ones(2), 1e-3, 100)
+        assert bound == -math.inf
+        np.testing.assert_array_equal(lam, [0.5, 0.5])
 
     def test_whitened_floor_bounds_condition(self):
         # Whitening gives the uniform design A = I, so every floored design
@@ -188,7 +263,7 @@ class TestPsdInverse:
             variances = rng.uniform(0.5, 2.0, size=n)
             tolerance = 1e-3
             problem = DesignProblem(arms, arms[:2], variances=variances, tolerance=tolerance)
-            X, prec = problem._samples_r, 1.0 / variances
+            X, prec = problem._whitened()[0], 1.0 / variances
             uniform = (X * (prec / n)[:, None]).T @ X
             np.testing.assert_allclose(uniform, np.eye(d), rtol=0, atol=1e-12)
             eta = tolerance / 3.0
@@ -197,11 +272,6 @@ class TestPsdInverse:
                 A = (X * (lam_eff * prec)[:, None]).T @ X
                 eig = np.linalg.eigvalsh(A)
                 assert eta * (1 - 1e-9) <= eig[0] and eig[-1] <= n * (1 + 1e-9)
-                assert _psd_inverse(A) is not None
-
-    def test_singular_psd(self):
-        for a in (np.ones((2, 2)), np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0])):
-            assert _psd_inverse(a) is None
 
 
 def example1_round_problem(active_rows, variances=None, tolerance=1e-2):
@@ -482,6 +552,49 @@ class TestSolveDesignMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(empty_memo) <= 4
+
+    def test_seen_problem_constructed_without_svd(self, empty_memo, monkeypatch):
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        first = solve_design(memo_problem())
+        assert len(calls) == 1
+        again = memo_problem()
+        assert solve_design(again) is first
+        assert len(calls) == 1
+        assert again._samples_r is None
+
+    def test_unseen_problem_checked_at_construction(self, empty_memo):
+        solve_design(memo_problem())
+        arms = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(SpanViolation):
+            DesignProblem(arms, np.array([[0.0, 0.0, 1.0]]))
+        with pytest.raises(ValueError, match="all zero"):
+            DesignProblem(np.zeros((2, 3)), np.zeros((1, 3)))
+
+    def test_entry_evicted_after_construction(self, empty_memo, monkeypatch):
+        # Built while the memo holds it, so not whitened; then evicted, so
+        # the solve must whiten on demand.
+        fresh = _solve_design(memo_problem())
+        solve_design(memo_problem())
+        problem = memo_problem()
+        assert problem._samples_r is None
+        engine = design_module._solve_design
+        monkeypatch.setattr(design_module, "_solve_design", lambda p: design_module.Design(
+            weights=np.full(2, 0.5), value=1.0, support_size=2))
+        for k in range(MEMO_SIZE + 1):
+            solve_design(DesignProblem(np.eye(2), np.eye(2), tolerance=1e-3 * (k + 1)))
+        monkeypatch.setattr(design_module, "_solve_design", engine)
+        assert problem._digest not in empty_memo
+        design = solve_design(problem)
+        assert np.array_equal(design.weights, fresh.weights)
+        assert design.value == fresh.value
+        assert design.certified == fresh.certified
 
     def test_problem_not_kept_alive(self, empty_memo):
         problem = memo_problem()

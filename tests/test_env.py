@@ -265,6 +265,22 @@ class TestMomentSampling:
             assert env.pull_count == ref.pull_count
         assert env.sample(1) == ref.sample(1)
 
+    def test_arm_moments_computed_once(self, monkeypatch):
+        einsum = np.einsum
+        calls = []
+
+        def counting_einsum(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        env = Environment.from_instance(make_instance(), seed=2)
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        env.sample_schedule_moments(schedule([3, 1, 4]))
+        assert len(calls) == 1
+        # Nothing stays held: the next draw computes them afresh.
+        env.sample_schedule_sums(schedule([1, 1, 1]))
+        assert len(calls) == 2
+
     def test_silent_mode_exact(self):
         inst = make_instance()
         env = Environment.from_instance(inst, seed=1, noise_mode="silent")
