@@ -16,10 +16,8 @@ from .core import (
     SingularInformation,
     SpanViolation,
     VarianceEstimate,
-    info_matrix,
     lift_arms,
     lift_phi,
-    quad_form_inv,
     unvech,
     vech,
 )
@@ -44,7 +42,6 @@ from .varest import (
     head_budget_for_half,
     head_estimate,
     mae,
-    oracle_truth_estimate,
     separate_arm_estimate,
     uniform_estimate,
 )
@@ -79,14 +76,11 @@ __all__ = [
     "head_budget_for_half",
     "head_estimate",
     "hrage_run",
-    "info_matrix",
     "lift_arms",
     "lift_phi",
     "mae",
     "oracle_run",
-    "oracle_truth_estimate",
     "psi_star",
-    "quad_form_inv",
     "rage_run",
     "round_design",
     "run_suite",

@@ -15,7 +15,7 @@ import ast
 import sys
 
 from .core import HetBanditError
-from .ident import psi_star
+from .ident import IdentTask, psi_star
 from .presets import ConfigError, ExperimentConfig, build_preset
 from .runner import emit_design_table, run_suite
 
@@ -156,6 +156,8 @@ def _cmd_design(args) -> int:
 def _cmd_complexity(args) -> int:
     config = _build_experiment_config(args)
     bundle = build_preset(config)
+    if not isinstance(bundle.task, IdentTask):
+        raise ConfigError("complexity needs an identification preset")
     report = psi_star(bundle.task, variances=bundle.variances)
     print(f"preset            {bundle.name}")
     print(f"psi_star          {report.psi_star:.6g}")

@@ -22,7 +22,7 @@ class DimensionMismatch(HetBanditError, ValueError):
 
 
 class SingularInformation(HetBanditError):
-    """An information matrix could not be factorized even with a ridge.
+    """An information matrix could not be factorized.
 
     Carries the smallest eigenvalue seen, for diagnostics.
     """
@@ -120,28 +120,6 @@ def lift_arms(arms: np.ndarray) -> np.ndarray:
     return arms[:, rows] * arms[:, cols] * coeff
 
 
-def info_matrix(vectors, design_weights, weights=None) -> np.ndarray:
-    """Weighted second-moment matrix sum_v lambda_v v v' / w_v.
-
-    ``weights`` are per-vector noise variances (divisors); omit for the
-    unweighted matrix.
-    """
-    vecs = _as_matrix(vectors)
-    lam = np.asarray(design_weights, dtype=np.float64)
-    if lam.shape != (vecs.shape[0],):
-        raise DimensionMismatch("one design weight per vector required")
-    if weights is None:
-        w = np.ones(vecs.shape[0])
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (vecs.shape[0],):
-            raise DimensionMismatch("one weight per vector required")
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
-    scaled = vecs * (lam / w)[:, None]
-    return scaled.T @ vecs
-
-
 def greedy_spanning_subset(vectors: np.ndarray, size: int) -> list[int]:
     """Pick up to ``size`` rows by greedy orthogonal-residual pivoting.
 
@@ -165,26 +143,14 @@ def greedy_spanning_subset(vectors: np.ndarray, size: int) -> list[int]:
 
 
 def solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric PD A via Cholesky, with a ridge fallback.
-
-    The fallback adds 1e-10 * trace(A)/k to the diagonal; if that still
-    fails, raises :class:`SingularInformation`.
-    """
+    """Solve A x = b for symmetric positive definite A by Cholesky; raises
+    :class:`SingularInformation` when A does not factorize."""
     A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     try:
         c = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        k = A.shape[0]
-        ridge = 1e-10 * np.trace(A) / k
-        try:
-            if ridge <= 0:
-                raise np.linalg.LinAlgError
-            c = np.linalg.cholesky(A + ridge * np.eye(k))
-        except np.linalg.LinAlgError:
-            raise SingularInformation(float(np.linalg.eigvalsh(A).min())) from None
-    z = np.linalg.solve(c, b)
-    return np.linalg.solve(c.T, z)
+        raise SingularInformation(float(np.linalg.eigvalsh(A).min())) from None
+    return np.linalg.solve(c.T, np.linalg.solve(c, np.asarray(b, dtype=np.float64)))
 
 
 def quad_forms(X: np.ndarray, V: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -220,16 +186,6 @@ def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:
         X[pulled] * root[:, None], np.asarray(sums)[pulled] / n * root, rcond=rcond
     )
     return coef, int(rank)
-
-
-def quad_form_inv(A: np.ndarray, v: np.ndarray) -> float:
-    """Evaluate v' A^{-1} v through a linear solve (never an explicit inverse)."""
-    v = np.asarray(v, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    if A.shape[0] != A.shape[1] or v.shape != (A.shape[0],):
-        raise DimensionMismatch("A must be k x k and v length k")
-    val = float(v @ solve_psd(A, v))
-    return max(val, 0.0)
 
 
 @dataclass(frozen=True)

@@ -209,11 +209,6 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
     return best_bound, best_lam
 
 
-def _design_value(X: np.ndarray, V: np.ndarray, prec: np.ndarray, lam: np.ndarray) -> float:
-    """``max_v v' A(lam)^+ v``, infinite if ``V`` leaves the range of ``A``."""
-    return float(quad_forms(X, V, lam * prec).max())
-
-
 # Solved designs kept per process, least recently used first out.
 MEMO_SIZE = 256
 _memo: OrderedDict[bytes, Design] = OrderedDict()
@@ -221,12 +216,16 @@ _memo_lock = threading.Lock()
 
 
 def _problem_digest(problem: DesignProblem) -> bytes:
-    """Digest of everything the solver reads: the arrays, tolerance and cap."""
+    """Digest of everything the solver reads: the arrays, tolerance and cap.
+    A self-evaluating problem hashes its vectors once and says so in the digest."""
     digest = hashlib.blake2b(digest_size=16)
-    for part in (problem.sample_vectors, problem.eval_vectors, problem.variances):
+    parts = (problem.eval_vectors, problem.variances)
+    if not problem._self_eval:
+        parts = (problem.sample_vectors,) + parts
+    for part in parts:
         digest.update(repr(part.shape).encode())
         digest.update(part.tobytes())
-    digest.update(repr((float(problem.tolerance), int(problem.max_iters))).encode())
+    digest.update(repr((problem._self_eval, float(problem.tolerance), int(problem.max_iters))).encode())
     return digest.digest()
 
 
@@ -257,7 +256,8 @@ def solve_design(problem: DesignProblem) -> Design:
 def _solve_design(problem: DesignProblem) -> Design:
     """Certified minimax design; see the module docstring for the engines.
 
-    Candidates, each valued by :func:`_design_value`: the D-optimal weights
+    Candidates, each valued ``max_v v' A(lam)^+ v`` by :func:`quad_forms`
+    (infinite if ``V`` leaves the range of ``A``): the D-optimal weights
     where that path applies, the engine's weights pruned below
     ``PRUNE_THRESHOLD``, then its floored design. The first within
     ``tolerance`` of the bound is returned ``certified``; otherwise the best,
@@ -273,7 +273,7 @@ def _solve_design(problem: DesignProblem) -> Design:
     tried: list[Design] = []
 
     def attempt(lam: np.ndarray) -> bool:
-        value = _design_value(X, V, prec, lam)
+        value = float(quad_forms(X, V, lam * prec).max())
         tried.append(Design(weights=lam, value=value, support_size=int(np.count_nonzero(lam)),
                             certified=value <= bound * (1.0 + tol)))
         return tried[-1].certified
@@ -311,32 +311,14 @@ class RoundSchedule:
     total: int
 
 
-def round_design(design: Design, n_samples, mode: str = "ceiling") -> RoundSchedule:
-    """Turn a continuous design into integer pull counts.
+def round_design(design: Design, n_samples) -> RoundSchedule:
+    """Integer pull counts ``ceil(N * lam)``, so zero off the support.
 
-    ``ceiling`` takes ceil(N * lam) on the support, overshooting by at most
-    the support size. ``efficient`` apportions exactly N pulls
-    (Pukelsheim-style largest-remainder adjustment) and requires integer N.
+    Every arm gets at least ``N lam_i`` pulls, so ``A(counts) >= N A(lam)``
+    and the realized value is at most ``design.value / N``; the total
+    overshoots ``N`` by less than the support size.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be at least 1")
-    lam = design.weights
-    support = np.flatnonzero(lam)
-    counts = np.zeros(lam.shape[0], dtype=np.float64)
-    if mode == "ceiling":
-        counts[support] = np.ceil(n_samples * lam[support])
-    elif mode == "efficient":
-        n_samples = int(n_samples)
-        p = support.size
-        counts[support] = np.ceil((n_samples - 0.5 * p) * lam[support])
-        while counts.sum() != n_samples:
-            if counts.sum() < n_samples:
-                j = support[int(np.argmin(counts[support] / lam[support]))]
-                counts[j] += 1
-            else:
-                j = support[int(np.argmax((counts[support] - 1) / lam[support]))]
-                counts[j] -= 1
-    else:
-        raise ValueError(f"unknown rounding mode {mode!r}")
-    as_ints = tuple(int(c) for c in counts)
-    return RoundSchedule(counts=as_ints, total=sum(as_ints))
+    counts = tuple(int(c) for c in np.ceil(n_samples * design.weights))
+    return RoundSchedule(counts=counts, total=sum(counts))

@@ -19,7 +19,9 @@ NOISE_MODES = ("gaussian", "silent")
 
 class Environment:
     """Noisy responses ``x' theta + N(0, x' Sigma x)``. Library algorithms draw per-arm
-    sums or moments, never single pulls, so they do not log to ``recorder``."""
+    sums or moments, never single pulls, so they do not log to ``recorder``.
+
+    ``seed`` is an integer or a :class:`numpy.random.SeedSequence`."""
 
     # Callers may keep many environments (one per run), so no per-instance dict.
     __slots__ = ("arms", "theta_star", "sigma_star", "noise_mode", "recorder", "label",
@@ -34,7 +36,6 @@ class Environment:
         noise_mode: str = "gaussian",
         recorder: list | None = None,
         label: str = "env",
-        _seed_seq: np.random.SeedSequence | None = None,
     ):
         if noise_mode not in NOISE_MODES:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
@@ -44,7 +45,7 @@ class Environment:
         self.noise_mode = noise_mode
         self.recorder = recorder
         self.label = label
-        self._seed_seq = _seed_seq if _seed_seq is not None else np.random.SeedSequence(seed)
+        self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._rng = np.random.Generator(np.random.Philox(self._seed_seq))
         self.pull_count = 0
         self._held_moments: tuple[np.ndarray, np.ndarray] | None = None
@@ -81,7 +82,7 @@ class Environment:
                     noise_mode=self.noise_mode,
                     recorder=self.recorder,
                     label=f"{self.label}/{i}",
-                    _seed_seq=child_seq,
+                    seed=child_seq,
                 )
             )
         return children

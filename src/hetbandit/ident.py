@@ -55,10 +55,15 @@ class IdentTask:
         return int(np.argmax(self.instance.target_values()))
 
     def true_answer(self):
-        if self.objective == "bai":
-            return self.best_index
-        values = self.instance.target_values()
-        return frozenset(int(i) for i in np.flatnonzero(values > self.alpha))
+        return _answer(self, self.instance.target_values())
+
+
+def _answer(task: IdentTask, scores: np.ndarray) -> int | frozenset[int]:
+    """The task's answer if the targets' mean rewards were ``scores``: the
+    first maximizer for ``bai``, the targets above ``alpha`` for ``ls``."""
+    if task.objective == "bai":
+        return int(np.argmax(scores))
+    return frozenset(int(i) for i in np.flatnonzero(scores > task.alpha))
 
 
 def gap_delta(task: IdentTask) -> float:
@@ -196,7 +201,7 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
         )
         epsilon = 2.0 ** (-ell)
         tau = round_budget(epsilon, design.value, n_targets, task.delta, ell, tau_scale)
-        schedule = round_design(design, tau, "ceiling")
+        schedule = round_design(design, tau)
         counts, sums = env.sample_schedule_sums(schedule)
         theta_hat, _ = fit_arm_sums(inst.arms, counts, sums, precisions)
 
@@ -225,26 +230,19 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
         if active.size < len(active_indices):
             active_indices = tuple(int(i) for i in active)
 
-    if task.objective == "bai":
-        if active.size == 1:
-            answer: int | frozenset[int] = int(active[0])
-        elif active.size == 0:
-            answer = task.best_index  # unreachable with tie-retaining elimination
-        else:
-            answer = int(active[int(np.argmax(Z[active] @ theta_hat))])
-        correct = answer == task.best_index
-    else:
-        if non_terminated and active.size:
-            in_good.update(int(i) for i in active[Z[active] @ theta_hat > task.alpha])
-        answer = frozenset(in_good)
-        correct = answer == task.true_answer()
+    # Classified targets score beyond either side of any threshold; targets
+    # still active when the run stops score their last estimate.
+    scores = np.full(n_targets, -math.inf)
+    scores[list(in_good)] = math.inf
+    scores[active] = Z[active] @ theta_hat
+    answer = _answer(task, scores)
 
     return RunTrace(
         rounds=tuple(rounds),
         burn_in_pulls=burn_in,
         total_pulls=total,
         answer=answer,
-        correct=correct,
+        correct=answer == task.true_answer(),
         non_terminated=non_terminated,
     )
 
@@ -397,7 +395,7 @@ def oracle_run(
         # Ceiling overshoot can already cover the next target; such a batch
         # draws nothing but is still verified and recorded.
         if increment > 0:
-            schedule = round_design(design, increment, "ceiling")
+            schedule = round_design(design, increment)
             c_inc, s_inc = env.sample_schedule_sums(schedule)
             counts += c_inc
             sums += s_inc
@@ -427,18 +425,12 @@ def oracle_run(
             verified = True
             break
 
-    if task.objective == "bai":
-        answer: int | frozenset[int] = int(np.argmax(inst.targets @ theta_hat))
-        correct = answer == task.best_index
-    else:
-        answer = frozenset(int(i) for i in np.flatnonzero(inst.targets @ theta_hat > task.alpha))
-        correct = answer == task.true_answer()
-
+    answer = _answer(task, inst.targets @ theta_hat)
     return RunTrace(
         rounds=tuple(rounds),
         burn_in_pulls=0,
         total_pulls=total,
         answer=answer,
-        correct=correct,
+        correct=answer == task.true_answer(),
         non_terminated=not verified,
     )

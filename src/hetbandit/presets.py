@@ -63,15 +63,12 @@ class ExperimentConfig:
 _PRESET_ALIASES = {
     "intro": "intro",
     "introkappa": "intro",
-    "intro_kappa": "intro",
     "example1": "example1",
     "example2": "example2",
     "multivariate": "multivariate",
     "multivariatetest": "multivariate",
-    "multivariate_test": "multivariate",
     "varest": "varest",
     "varestcompare": "varest",
-    "varest_compare": "varest",
     "custom": "custom",
 }
 
@@ -87,18 +84,11 @@ PRESET_DEFAULTS: dict[str, dict[str, Any]] = {
 
 
 def canonical_preset(name: str) -> str:
-    key = name.strip().lower().replace("-", "_")
-    key = _PRESET_ALIASES.get(key.replace("_", ""), _PRESET_ALIASES.get(key, None))
+    """Preset name for ``name``, ignoring case, ``-`` and ``_``."""
+    key = _PRESET_ALIASES.get(name.strip().lower().replace("-", "").replace("_", ""))
     if key is None:
         raise ConfigError(f"unknown preset {name!r}")
     return key
-
-
-def _merged_params(name: str, overrides: dict[str, Any]) -> dict[str, Any]:
-    params = dict(PRESET_DEFAULTS[name])
-    for key, value in overrides.items():
-        params[key] = value
-    return params
 
 
 def _basis(d: int, i: int) -> np.ndarray:
@@ -242,7 +232,7 @@ def _build_custom(params, delta) -> PresetBundle:
 def build_preset(config: ExperimentConfig, seed: int | None = None) -> PresetBundle:
     """Materialize a preset; ``seed`` selects the arm draw for random presets."""
     name = config.preset
-    params = _merged_params(name, config.overrides)
+    params = {**PRESET_DEFAULTS[name], **config.overrides}
     try:
         if name == "intro":
             return _build_intro(params, config.delta)

@@ -124,9 +124,8 @@ def _run_one_seed(config: ExperimentConfig, rep: int, bundle: PresetBundle | Non
     inst = bundle.instance
     records = []
     for algo, spawn_key, run in _cells(config, rep, bundle):
-        env = Environment(
-            inst.arms, inst.theta_star, inst.sigma_star,
-            _seed_seq=np.random.SeedSequence(config.base_seed, spawn_key=spawn_key),
+        env = Environment.from_instance(
+            inst, seed=np.random.SeedSequence(config.base_seed, spawn_key=spawn_key)
         )
         start = time.perf_counter()
         try:

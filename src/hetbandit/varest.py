@@ -118,7 +118,7 @@ def head_estimate(
         raise InsufficientBudget(
             f"half budget {half} below stage-1 design support {des1.support_size}"
         )
-    sched1 = round_design(des1, half, "ceiling")
+    sched1 = round_design(des1, half)
     n1, sums1, _ = env1.sample_schedule_moments(sched1)
     theta_hat, _ = fit_arm_sums(X, n1, sums1)
 
@@ -127,7 +127,7 @@ def head_estimate(
         raise InsufficientBudget(
             f"half budget {half} below stage-2 design support {des2.support_size}"
         )
-    sched2 = round_design(des2, half, "ceiling")
+    sched2 = round_design(des2, half)
     n2, sums2, ss2 = env2.sample_schedule_moments(sched2)
     return _lifted_estimate(
         inst, phi, n2, sums2, ss2, theta_hat,
@@ -195,17 +195,6 @@ def separate_arm_estimate(
     n, sums, ss = env.sample_schedule_moments(schedule)
     return _lifted_estimate(
         inst, phi, n, sums, ss, budget_used=schedule.total, estimator_kind="separate_arm"
-    )
-
-
-def oracle_truth_estimate(inst: HeteroInstance) -> VarianceEstimate:
-    """Zero-budget estimate holding the true noise matrix (for baselines)."""
-    raw = inst.arm_variances()
-    return VarianceEstimate(
-        sigma_hat_matrix=inst.sigma_star,
-        per_arm=_clamp_all(raw, inst),
-        budget_used=0,
-        estimator_kind="oracle_truth",
     )
 
 

@@ -9,7 +9,7 @@ import hetbandit
 import hetbandit.runner as runner_mod
 from hetbandit import Environment, ExperimentConfig, build_preset, run_suite
 from hetbandit.cli import main, parse_config_file
-from hetbandit.presets import ConfigError
+from hetbandit.presets import PRESET_DEFAULTS, ConfigError
 from hetbandit.runner import CSV_HEADER, design_table_rows, emit_design_table
 
 
@@ -282,6 +282,15 @@ class TestCliMain:
 
     def test_bad_flag_exits_2(self, capsys):
         assert main(["run", "--bogus-flag"]) == 2
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_DEFAULTS))
+    @pytest.mark.parametrize("command", ["design", "complexity"])
+    def test_every_preset_exits_cleanly(self, tmp_path, capsys, command, preset):
+        # Presets the command cannot serve (varest, custom without a file)
+        # are configuration errors, never a crash.
+        code = main([command, "--preset", preset, "--out", str(tmp_path / "design.csv")])
+        assert code in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_run_failure_exits_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

@@ -8,10 +8,8 @@ from hetbandit import (
     DimensionMismatch,
     HeteroInstance,
     SingularInformation,
-    info_matrix,
     lift_arms,
     lift_phi,
-    quad_form_inv,
     unvech,
     vech,
 )
@@ -69,76 +67,20 @@ class TestLift:
         assert np.allclose(unvech(vech(sigma), d), sigma)
 
 
-class TestInfoMatrix:
-    def test_uniform_basis(self):
-        got = info_matrix(np.eye(2), [0.5, 0.5])
-        assert np.allclose(got, np.diag([0.5, 0.5]))
-
-    def test_weight_scaling(self):
-        got = info_matrix(np.eye(2), [0.5, 0.5], weights=[2.0, 1.0])
-        assert np.allclose(got, np.diag([0.25, 0.5]))
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        vecs = rng.standard_normal((3, 2))
-        lam = np.array([0.2, 0.5, 0.3])
-        w = np.array([1.5, 0.7, 2.2])
-        expected = np.zeros((2, 2))
-        for v, l, ww in zip(vecs, lam, w):
-            expected += l * np.outer(v, v) / ww
-        assert np.allclose(info_matrix(vecs, lam, weights=w), expected, atol=1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-    def test_linearity_in_design(self, alpha, seed):
-        rng = np.random.default_rng(seed)
-        vecs = rng.standard_normal((4, 3))
-        l1 = rng.dirichlet(np.ones(4))
-        l2 = rng.dirichlet(np.ones(4))
-        mixed = info_matrix(vecs, alpha * l1 + (1 - alpha) * l2)
-        combo = alpha * info_matrix(vecs, l1) + (1 - alpha) * info_matrix(vecs, l2)
-        assert np.allclose(mixed, combo, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            info_matrix(np.eye(2), [1.0])
-        with pytest.raises(DimensionMismatch):
-            info_matrix(np.eye(2), [0.5, 0.5], weights=[1.0])
-
-    def test_nonpositive_weights_rejected(self):
-        with pytest.raises(ValueError):
-            info_matrix(np.eye(2), [0.5, 0.5], weights=[1.0, 0.0])
-
-
-class TestQuadFormInv:
-    def test_identity(self):
-        assert quad_form_inv(np.eye(2), np.array([3.0, 4.0])) == pytest.approx(25.0)
-
-    def test_diagonal(self):
-        got = quad_form_inv(np.diag([2.0, 5.0]), np.array([1.0, 1.0]))
-        assert got == pytest.approx(0.7, abs=1e-12)
-
+class TestSolvePsd:
     def test_matches_explicit_inverse(self):
         rng = np.random.default_rng(11)
         b = rng.standard_normal((4, 4))
         a = b @ b.T + 0.1 * np.eye(4)
         v = rng.standard_normal(4)
-        expected = v @ np.linalg.inv(a) @ v
-        assert quad_form_inv(a, v) == pytest.approx(expected, rel=1e-9)
+        np.testing.assert_allclose(solve_psd(a, v), np.linalg.inv(a) @ v, rtol=1e-9)
 
     def test_singular_raises_with_pivot(self):
-        with pytest.raises(SingularInformation) as err:
-            quad_form_inv(np.zeros((2, 2)), np.ones(2))
-        assert hasattr(err.value, "smallest_pivot")
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            quad_form_inv(np.eye(2), np.ones(3))
-
-    def test_ridge_fallback_on_near_singular(self):
-        a = np.diag([1.0, 1e-300])
-        v = np.array([1.0, 0.0])
-        assert solve_psd(a, v) is not None
+        # No ridge: a semidefinite matrix raises like the zero matrix.
+        for a in (np.zeros((2, 2)), np.diag([1.0, 0.0])):
+            with pytest.raises(SingularInformation) as err:
+                solve_psd(a, np.ones(2))
+            assert err.value.smallest_pivot == 0.0
 
 
 def _unit_instance():

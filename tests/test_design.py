@@ -20,11 +20,10 @@ from hetbandit import (
     solve_design,
 )
 from hetbandit import design as design_module
-from hetbandit.core import SingularInformation, quad_form_inv, quad_forms
+from hetbandit.core import Design, SingularInformation, quad_forms
 from hetbandit.design import (
     INNER_STEPS,
     MEMO_SIZE,
-    _design_value,
     _floored_eg_solve,
     _solve_design,
 )
@@ -369,11 +368,8 @@ class TestSolvePaths:
         X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         prec = np.array([1.0, 0.5, 1.0])
         lam = np.array([0.25, 0.75, 0.0])
-        inside = np.array([[1.0, -1.0, 0.0]])
-        # A restricted to the first two axes is diag(0.25, 0.375).
-        assert _design_value(X, inside, prec, lam) == pytest.approx(4.0 + 1.0 / 0.375)
-        assert _design_value(X, np.array([[0.0, 0.0, 1.0]]), prec, lam) == math.inf
-        # Per row: a finite value inside the range, inf for the row outside it.
+        # A restricted to the first two axes is diag(0.25, 0.375): a finite
+        # value for the row inside its range, inf for the row outside it.
         rows = quad_forms(X, np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]), lam * prec)
         assert rows[0] == pytest.approx(4.0 + 1.0 / 0.375, rel=1e-12)
         assert rows[1] == math.inf
@@ -491,6 +487,15 @@ class TestSolveDesignMemo:
         assert len(empty_memo) == len(variants)
         assert len({id(design) for design in designs}) == len(variants)
 
+    def test_self_evaluating_digest_differs(self, empty_memo):
+        # A D-optimal problem hashes its vectors once, under a flag of its own.
+        base = memo_problem()
+        arms = base.sample_vectors
+        dopt = DesignProblem(arms, arms.copy(), tolerance=1e-3)
+        assert dopt._digest == DesignProblem(arms, arms, tolerance=1e-3)._digest
+        assert dopt._digest != base._digest
+        assert dopt._digest != DesignProblem(arms, arms[:4], tolerance=1e-3)._digest
+
     def test_oldest_entry_evicted(self, empty_memo, monkeypatch):
         calls = []
 
@@ -606,60 +611,28 @@ class TestSolveDesignMemo:
         assert all(ref() is None for ref in refs)
 
 
-def realized_value(schedule, arms, evals, variances=None):
-    w = np.ones(arms.shape[0]) if variances is None else variances
+def realized_value(schedule, arms, evals, variances):
+    """``max_v v' A(counts)^+ v`` for the pull counts of ``schedule``."""
     counts = np.asarray(schedule.counts, dtype=np.float64)
-    info = (arms * (counts / w)[:, None]).T @ arms
-    return max(quad_form_inv(info, v) for v in evals)
+    return float(quad_forms(arms, evals, counts / variances).max())
 
 
 class TestRoundDesign:
     def test_even_split_ceiling(self):
         design = solve_design(kw_problem(np.eye(2)))
-        schedule = round_design(design, 10, "ceiling")
+        schedule = round_design(design, 10)
         assert schedule.counts == (5, 5)
         assert schedule.total == 10
 
     def test_ceiling_overshoot_on_thirds(self):
         design = solve_design(kw_problem(np.eye(3)))
-        schedule = round_design(design, 10, "ceiling")
+        schedule = round_design(design, 10)
         assert schedule.counts == (4, 4, 4)
         assert schedule.total == 12
 
-    def test_efficient_total_exact(self):
-        rng = np.random.default_rng(17)
-        arms = rng.standard_normal((6, 3))
-        design = solve_design(kw_problem(arms))
-        schedule = round_design(design, 100, "efficient")
-        assert schedule.total == 100
-        assert all(c >= 0 for c in schedule.counts)
-
-    def test_efficient_factor_contract(self):
-        # Realized value within (1 + 6 eps) of the continuous value at the
-        # same budget, for eps = 1/3 and N >= 5 d / eps^2.
-        rng = np.random.default_rng(23)
-        eps = 1.0 / 3.0
-        for trial in range(3):
-            d = 3
-            arms = rng.standard_normal((5 + trial, d))
-            design = solve_design(kw_problem(arms, tolerance=1e-4))
-            n = int(np.ceil(5 * d / eps**2))
-            schedule = round_design(design, n, "efficient")
-            realized = realized_value(schedule, arms, arms)
-            continuous = design.value / n
-            assert realized <= (1 + 6 * eps) * continuous
-
-    def test_efficient_loose_triple_bound_at_200(self):
-        rng = np.random.default_rng(29)
-        arms = rng.standard_normal((5, 3))
-        design = solve_design(kw_problem(arms, tolerance=1e-4))
-        schedule = round_design(design, 200, "efficient")
-        realized = realized_value(schedule, arms, arms)
-        assert realized <= 3 * design.value / 200
-
     def test_fractional_budget_ceiling(self):
         design = solve_design(kw_problem(np.eye(2)))
-        schedule = round_design(design, 10.5, "ceiling")
+        schedule = round_design(design, 10.5)
         assert schedule.total >= 10.5
 
     def test_rejects_nonpositive_budget(self):
@@ -668,17 +641,35 @@ class TestRoundDesign:
             round_design(design, 0)
 
     def test_rejects_unknown_mode(self):
+        # Ceiling rounding is the only rule, so round_design takes no mode.
         design = solve_design(kw_problem(np.eye(2)))
-        with pytest.raises(ValueError):
-            round_design(design, 5, "exotic")
+        for mode in ("ceiling", "efficient", "exotic"):
+            with pytest.raises(TypeError):
+                round_design(design, 5, mode)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 500), st.integers(0, 2**32 - 1))
     def test_ceiling_bounds_property(self, n, seed):
         rng = np.random.default_rng(seed)
         weights = rng.dirichlet(np.ones(4))
-        from hetbandit import Design
-
         design = Design(weights=weights, value=1.0, support_size=int((weights > 0).sum()))
-        schedule = round_design(design, n, "ceiling")
+        schedule = round_design(design, n)
         assert n <= schedule.total <= n + design.support_size
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 500), st.integers(0, 2**32 - 1))
+    def test_ceiling_value_bound_property(self, n, seed):
+        # n_i >= n lam_i on the support gives A(counts) >= n A(lam) with the
+        # same range, so the realized value is at most design.value / n.
+        rng = np.random.default_rng(seed)
+        arms = rng.standard_normal((6, 3))
+        variances = rng.uniform(0.5, 2.0, size=6)
+        weights = rng.dirichlet(np.ones(6)) * (rng.random(6) < 0.7)
+        weights[0] += weights.sum() == 0
+        weights /= weights.sum()
+        support = np.flatnonzero(weights)
+        evals = rng.standard_normal((4, support.size)) @ arms[support]
+        value = float(quad_forms(arms, evals, weights / variances).max())
+        design = Design(weights=weights, value=value, support_size=support.size)
+        schedule = round_design(design, n)
+        assert realized_value(schedule, arms, evals, variances) <= value / n * (1 + 1e-9)

@@ -15,7 +15,6 @@ from hetbandit import (
     head_estimate,
     hrage_run,
     mae,
-    oracle_truth_estimate,
     separate_arm_estimate,
     uniform_estimate,
 )
@@ -206,10 +205,6 @@ class TestSeparateArm:
 
 
 class TestMae:
-    def test_oracle_truth_is_exact(self):
-        inst = three_arm_instance()
-        assert mae(oracle_truth_estimate(inst), inst) == 0.0
-
     def test_matches_loop_oracle(self):
         inst = three_arm_instance()
         env = Environment.from_instance(inst, seed=8)
