@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hetbandit import (
     Design,
+    DesignProblem,
     DimensionMismatch,
     HeteroInstance,
     SingularInformation,
@@ -13,7 +14,7 @@ from hetbandit import (
     unvech,
     vech,
 )
-from hetbandit.core import fit_arm_sums, solve_psd
+from hetbandit.core import fit_arm_sums, quad_forms, solve_psd
 from hetbandit.varest import _clamp_all
 
 
@@ -67,7 +68,57 @@ class TestLift:
         assert np.allclose(unvech(vech(sigma), d), sigma)
 
 
-class TestSolvePsd:
+class TestInfoMatrix:
+    """The information matrix ``A = sum_i lam_i x_i x_i' / sigma_i^2``, seen
+    through the quadratic forms ``v' A^+ v`` that ``quad_forms`` takes of it
+    and the inputs ``DesignProblem`` accepts for it."""
+
+    def test_uniform_basis(self):
+        # A = diag(0.5, 0.5).
+        got = quad_forms(np.eye(2), np.eye(2), np.array([0.5, 0.5]))
+        np.testing.assert_allclose(got, [2.0, 2.0], rtol=1e-12)
+
+    def test_weight_scaling(self):
+        # Variances (2, 1) divide the weights: A = diag(0.25, 0.5).
+        w = np.array([0.5, 0.5]) / np.array([2.0, 1.0])
+        np.testing.assert_allclose(quad_forms(np.eye(2), np.eye(2), w), [4.0, 2.0], rtol=1e-12)
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(7)
+        vecs = rng.standard_normal((3, 2))
+        lam = np.array([0.2, 0.5, 0.3])
+        w = np.array([1.5, 0.7, 2.2])
+        expected = np.zeros((2, 2))
+        for v, l, ww in zip(vecs, lam, w):
+            expected += l * np.outer(v, v) / ww
+        probes = rng.standard_normal((4, 2))
+        oracle = [p @ np.linalg.inv(expected) @ p for p in probes]
+        np.testing.assert_allclose(quad_forms(vecs, probes, lam / w), oracle, rtol=1e-9)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            DesignProblem(np.eye(2), np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            DesignProblem(np.eye(2), np.eye(2), variances=[1.0])
+
+    def test_nonpositive_weights_rejected(self):
+        with pytest.raises(ValueError):
+            DesignProblem(np.eye(2), np.eye(2), variances=[1.0, 0.0])
+
+
+class TestQuadFormInv:
+    """``v' A^-1 v``: ``quad_forms`` through one ``eigh``, ``solve_psd``
+    through a Cholesky factor."""
+
+    def test_identity(self):
+        got = quad_forms(np.eye(2), np.array([[3.0, 4.0]]), np.ones(2))
+        assert got[0] == pytest.approx(25.0, rel=1e-12)
+
+    def test_diagonal(self):
+        # A = diag(2, 5).
+        got = quad_forms(np.eye(2), np.array([[1.0, 1.0]]), np.array([2.0, 5.0]))
+        assert got[0] == pytest.approx(0.7, abs=1e-12)
+
     def test_matches_explicit_inverse(self):
         rng = np.random.default_rng(11)
         b = rng.standard_normal((4, 4))
@@ -81,6 +132,12 @@ class TestSolvePsd:
             with pytest.raises(SingularInformation) as err:
                 solve_psd(a, np.ones(2))
             assert err.value.smallest_pivot == 0.0
+
+    def test_ridge_fallback_on_near_singular(self):
+        # A tiny positive pivot still factors, so no ridge is needed and the
+        # solve is exact rather than perturbed.
+        a = np.diag([1.0, 1e-300])
+        np.testing.assert_array_equal(solve_psd(a, np.array([1.0, 0.0])), [1.0, 0.0])
 
 
 def _unit_instance():

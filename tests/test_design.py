@@ -630,6 +630,30 @@ class TestRoundDesign:
         assert schedule.counts == (4, 4, 4)
         assert schedule.total == 12
 
+    def test_efficient_factor_contract(self):
+        # Ceiling rounding keeps the factor contract that exact-apportionment
+        # rounding was held to: realized value within (1 + 6 eps) of the
+        # continuous value at the same budget, for eps = 1/3 and N >= 5 d / eps^2.
+        rng = np.random.default_rng(23)
+        eps = 1.0 / 3.0
+        for trial in range(3):
+            d = 3
+            arms = rng.standard_normal((5 + trial, d))
+            design = solve_design(kw_problem(arms, tolerance=1e-4))
+            n = int(np.ceil(5 * d / eps**2))
+            schedule = round_design(design, n)
+            realized = realized_value(schedule, arms, arms, np.ones(arms.shape[0]))
+            continuous = design.value / n
+            assert realized <= (1 + 6 * eps) * continuous
+
+    def test_efficient_loose_triple_bound_at_200(self):
+        rng = np.random.default_rng(29)
+        arms = rng.standard_normal((5, 3))
+        design = solve_design(kw_problem(arms, tolerance=1e-4))
+        schedule = round_design(design, 200)
+        realized = realized_value(schedule, arms, arms, np.ones(arms.shape[0]))
+        assert realized <= 3 * design.value / 200
+
     def test_fractional_budget_ceiling(self):
         design = solve_design(kw_problem(np.eye(2)))
         schedule = round_design(design, 10.5)
