@@ -194,7 +194,8 @@ class HeteroInstance:
 
     Construction validates that the arms span the full space, that the noise
     matrix is symmetric PSD, and that every arm's variance lies within the
-    declared bounds. ``kappa`` is the bound ratio.
+    declared bounds. It keeps the per-arm means ``arm_means`` and variances
+    (:meth:`arm_variances`), frozen. ``kappa`` is the bound ratio.
     """
 
     arms: np.ndarray
@@ -230,6 +231,9 @@ class HeteroInstance:
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "theta_star", theta)
         object.__setattr__(self, "sigma_star", sigma)
+        # Every environment built from this instance shares these two arrays.
+        object.__setattr__(self, "arm_means", _frozen(arms @ theta))
+        object.__setattr__(self, "_arm_variances", _frozen(var))
 
     @classmethod
     def from_truth(cls, arms, targets, theta_star, sigma_star) -> "HeteroInstance":
@@ -258,8 +262,8 @@ class HeteroInstance:
         return tuple(greedy_spanning_subset(lift_arms(self.arms), d * (d + 1) // 2))
 
     def arm_variances(self) -> np.ndarray:
-        """True per-arm noise variances x' Sigma x."""
-        return np.einsum("ij,jk,ik->i", self.arms, self.sigma_star, self.arms)
+        """True per-arm noise variances x' Sigma x (the stored, frozen array)."""
+        return self._arm_variances
 
     def target_values(self) -> np.ndarray:
         return self.targets @ self.theta_star

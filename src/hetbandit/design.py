@@ -308,7 +308,10 @@ class RoundSchedule:
     """Integer pull counts derived from a continuous design."""
 
     counts: tuple[int, ...]
-    total: int
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
 
 
 def round_design(design: Design, n_samples) -> RoundSchedule:
@@ -321,4 +324,4 @@ def round_design(design: Design, n_samples) -> RoundSchedule:
     if n_samples <= 0:
         raise ValueError("n_samples must be at least 1")
     counts = tuple(int(c) for c in np.ceil(n_samples * design.weights))
-    return RoundSchedule(counts=counts, total=sum(counts))
+    return RoundSchedule(counts)

@@ -7,106 +7,54 @@ One Environment is owned by one worker at a time.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
-from .core import HeteroInstance, _as_matrix
+from .core import DimensionMismatch, HeteroInstance
 from .design import RoundSchedule
 
 NOISE_MODES = ("gaussian", "silent")
 
 
 class Environment:
-    """Noisy responses ``x' theta + N(0, x' Sigma x)``. Library algorithms draw per-arm
-    sums or moments, never single pulls, so they do not log to ``recorder``.
+    """Noisy responses ``N(means[i], variances[i])`` of each arm ``i``: under
+    the linear model, ``x_i' theta`` and ``x_i' Sigma x_i``.
 
-    ``seed`` is an integer or a :class:`numpy.random.SeedSequence`."""
+    The per-arm arrays are kept by reference, not copied, so every environment
+    built from one instance (and every ``split`` child) shares that instance's
+    arrays. ``seed`` is an integer or a :class:`numpy.random.SeedSequence`.
+    Library algorithms draw per-arm sums or moments; ``sample_schedule`` draws
+    single pulls for users.
+    """
 
     # Callers may keep many environments (one per run), so no per-instance dict.
-    __slots__ = ("arms", "theta_star", "sigma_star", "noise_mode", "recorder", "label",
-                 "_seed_seq", "_rng", "pull_count", "_held_moments")
+    __slots__ = ("means", "variances", "noise_mode", "_seed_seq", "_rng", "pull_count")
 
-    def __init__(
-        self,
-        arms,
-        theta_star,
-        sigma_star,
-        seed=0,
-        noise_mode: str = "gaussian",
-        recorder: list | None = None,
-        label: str = "env",
-    ):
+    def __init__(self, means, variances, seed=0, noise_mode: str = "gaussian"):
         if noise_mode not in NOISE_MODES:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
-        self.arms = _as_matrix(arms, "arms")
-        self.theta_star = np.asarray(theta_star, dtype=np.float64).ravel()
-        self.sigma_star = np.asarray(sigma_star, dtype=np.float64)
+        self.means = np.asarray(means, dtype=np.float64)
+        self.variances = np.asarray(variances, dtype=np.float64)
+        if self.means.ndim != 1 or self.variances.shape != self.means.shape:
+            raise DimensionMismatch("means and variances must be 1-d arrays of one length")
         self.noise_mode = noise_mode
-        self.recorder = recorder
-        self.label = label
         self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._rng = np.random.Generator(np.random.Philox(self._seed_seq))
         self.pull_count = 0
-        self._held_moments: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def from_instance(
-        cls,
-        instance: HeteroInstance,
-        seed=0,
-        noise_mode: str = "gaussian",
-        recorder: list | None = None,
-    ) -> "Environment":
-        return cls(
-            instance.arms,
-            instance.theta_star,
-            instance.sigma_star,
-            seed=seed,
-            noise_mode=noise_mode,
-            recorder=recorder,
-        )
+    def from_instance(cls, instance: HeteroInstance, seed=0, noise_mode: str = "gaussian") -> "Environment":
+        return cls(instance.arm_means, instance.arm_variances(), seed=seed, noise_mode=noise_mode)
 
     def split(self, n: int) -> list["Environment"]:
-        """Spawn n child environments with disjoint random streams.
+        """Spawn n child environments with disjoint random streams over the
+        same per-arm arrays; each keeps its own pull count."""
+        return [
+            Environment(self.means, self.variances, seed=child_seq, noise_mode=self.noise_mode)
+            for child_seq in self._seed_seq.spawn(n)
+        ]
 
-        Children share the recorder (if any) but keep their own pull counts.
-        """
-        children = []
-        for i, child_seq in enumerate(self._seed_seq.spawn(n)):
-            children.append(
-                Environment(
-                    self.arms,
-                    self.theta_star,
-                    self.sigma_star,
-                    noise_mode=self.noise_mode,
-                    recorder=self.recorder,
-                    label=f"{self.label}/{i}",
-                    seed=child_seq,
-                )
-            )
-        return children
-
-    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-arm means and noise standard deviations, computed per call
-        rather than kept on every environment; a draw that needs them twice
-        holds them for its duration."""
-        if self._held_moments is not None:
-            return self._held_moments
-        var = np.einsum("ij,jk,ik->i", self.arms, self.sigma_star, self.arms)
-        return self.arms @ self.theta_star, np.sqrt(np.maximum(var, 0.0))
-
-    def _check_index(self, arm_index: int):
-        if not 0 <= arm_index < self.arms.shape[0]:
-            raise IndexError(f"arm index {arm_index} out of range")
-
-    def sample(self, arm_index: int) -> float:
-        """One noisy observation of the indexed arm: a one-pull schedule."""
-        self._check_index(arm_index)
-        counts = [0] * self.arms.shape[0]
-        counts[arm_index] = 1
-        _, ys = self.sample_schedule(RoundSchedule(tuple(counts), 1))
-        return float(ys[0])
+    def _stds(self) -> np.ndarray:
+        return np.sqrt(np.maximum(self.variances, 0.0))
 
     def sample_schedule(self, schedule: RoundSchedule) -> tuple[np.ndarray, np.ndarray]:
         """Execute a pull schedule in ascending arm order.
@@ -115,14 +63,11 @@ class Environment:
         per pull. All pulls share one ``standard_normal`` call, which leaves
         the stream as it would be drawn one arm at a time.
         """
-        means, stds = self._moments()
-        idx = np.repeat(np.arange(self.arms.shape[0]), schedule.counts)
-        ys = means[idx]
+        idx = np.repeat(np.arange(self.means.size), schedule.counts)
+        ys = self.means[idx]
         if self.noise_mode == "gaussian":
-            ys = ys + stds[idx] * self._rng.standard_normal(idx.size)
+            ys = ys + self._stds()[idx] * self._rng.standard_normal(idx.size)
         self.pull_count += schedule.total
-        if self.recorder is not None:
-            self.recorder.extend(zip(repeat(self.label), idx.tolist(), ys.tolist()))
         return idx, ys
 
     def sample_schedule_sums(self, schedule: RoundSchedule) -> tuple[np.ndarray, np.ndarray]:
@@ -133,14 +78,13 @@ class Environment:
         materializing every pull. Counts are returned as floats to survive
         very large budgets.
         """
-        means, stds = self._moments()
         counts = np.asarray(schedule.counts, dtype=np.float64)
         pulled = counts > 0
         sums = np.zeros(counts.size)
-        sums[pulled] = counts[pulled] * means[pulled]
+        sums[pulled] = counts[pulled] * self.means[pulled]
         if self.noise_mode == "gaussian":
             draws = self._rng.standard_normal(np.count_nonzero(pulled))
-            sums[pulled] += np.sqrt(counts[pulled]) * stds[pulled] * draws
+            sums[pulled] += np.sqrt(counts[pulled]) * self._stds()[pulled] * draws
         self.pull_count += schedule.total
         return counts, sums
 
@@ -155,13 +99,9 @@ class Environment:
         """
         # The sums go through the public method, so that its wrappers (the
         # benchmark probe counts pulls there) see these pulls too.
-        moments = self._held_moments = self._moments()
-        try:
-            counts, sums = self.sample_schedule_sums(schedule)
-        finally:
-            self._held_moments = None
+        counts, sums = self.sample_schedule_sums(schedule)
         ss = np.zeros(counts.size)
         if self.noise_mode == "gaussian":
             many = counts > 1
-            ss[many] = moments[1][many] ** 2 * self._rng.chisquare(counts[many] - 1)
+            ss[many] = self._stds()[many] ** 2 * self._rng.chisquare(counts[many] - 1)
         return counts, sums, ss

@@ -113,6 +113,10 @@ class RunConfig:
     fw_tol: float = 1e-2
     max_rounds: int = 40
 
+    def __post_init__(self):
+        if not self.fw_tol > 0:
+            raise ValueError("fw_tol must be positive")
+
 
 def wls_estimate(xs, ys, weights=None) -> np.ndarray:
     """Weighted least squares ``argmin sum_i w_i (x_i' theta - y_i)^2``;

@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ConfigError("delta must lie in (0, 1)")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be nonnegative")
         self.preset = canonical_preset(self.preset)
 
 

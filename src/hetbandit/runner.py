@@ -64,11 +64,14 @@ def _row(fields) -> str:
 
 def _run_config(config: ExperimentConfig) -> RunConfig:
     o = config.overrides
-    return RunConfig(
-        c_prime=float(o.get("c_prime", PRACTICAL_C_PRIME)),
-        fw_tol=float(o.get("fw_tol", 1e-2)),
-        max_rounds=int(o.get("max_rounds", 40)),
-    )
+    try:
+        return RunConfig(
+            c_prime=float(o.get("c_prime", PRACTICAL_C_PRIME)),
+            fw_tol=float(o.get("fw_tol", 1e-2)),
+            max_rounds=int(o.get("max_rounds", 40)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad run setting: {exc}") from exc
 
 
 def _ident_fields(trace):

@@ -157,7 +157,7 @@ def uniform_estimate(
     phi = lift_arms(X)
     pick_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
     counts = pick_rng.multinomial(gamma, np.full(inst.n_arms, 1.0 / inst.n_arms))
-    schedule = RoundSchedule(counts=tuple(counts.tolist()), total=gamma)
+    schedule = RoundSchedule(tuple(counts.tolist()))
     n, sums, ss = env.sample_schedule_moments(schedule)
     theta_hat, _ = fit_arm_sums(X, n, sums)
     return _lifted_estimate(
@@ -191,7 +191,7 @@ def separate_arm_estimate(
 
     counts = np.zeros(inst.n_arms, dtype=np.int64)
     counts[chosen] = n_per
-    schedule = RoundSchedule(counts=tuple(counts.tolist()), total=n_per * m_dim)
+    schedule = RoundSchedule(tuple(counts.tolist()))
     n, sums, ss = env.sample_schedule_moments(schedule)
     return _lifted_estimate(
         inst, phi, n, sums, ss, budget_used=schedule.total, estimator_kind="separate_arm"

@@ -1,6 +1,11 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import hetbandit
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = {
     "ComplexityReport", "ConfigError", "DEFAULT_C_PRIME", "DegenerateGap", "Design",
@@ -29,3 +34,13 @@ class TestPublicApi:
         assert not hasattr(hetbandit, name)
         for module in (hetbandit.core, hetbandit.varest):
             assert not hasattr(module, name)
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's only Python block is its "Library example"; it must run
+    # as written against the installed API.
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    psi, rho, answer, pulls = capsys.readouterr().out.split()
+    assert float(psi) <= float(rho) and int(answer) == 0 and float(pulls) > 0

@@ -283,6 +283,24 @@ class TestCliMain:
     def test_bad_flag_exits_2(self, capsys):
         assert main(["run", "--bogus-flag"]) == 2
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "res.csv")
+        assert main(["run", "--preset", "example2", "--reps", "1", "--seed", "-1", "--out", out]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = example2\nbase_seed = -1\n")
+        assert main(["run", "--config", str(cfg), "--reps", "1", "--out", out]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("setting", ["c_prime=abc", "max_rounds=abc", "fw_tol=0", "fw_tol=-1"])
+    def test_bad_run_setting_exits_2(self, tmp_path, capsys, setting, jobs):
+        code = main([
+            "run", "--preset", "example2", "--reps", "2", "--jobs", jobs, "--algorithms", "rage",
+            "--set", setting, "--out", str(tmp_path / "res.csv"),
+        ])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("preset", sorted(PRESET_DEFAULTS))
     @pytest.mark.parametrize("command", ["design", "complexity"])
     def test_every_preset_exits_cleanly(self, tmp_path, capsys, command, preset):

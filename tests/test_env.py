@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hetbandit import (
+    DimensionMismatch,
     Environment,
     HeteroInstance,
     RoundSchedule,
@@ -21,19 +22,27 @@ def make_instance():
 
 
 def schedule(counts):
-    return RoundSchedule(counts=tuple(counts), total=sum(counts))
+    return RoundSchedule(tuple(counts))
+
+
+def pull(env, arm):
+    """One noisy observation of ``arm``: a one-pull schedule."""
+    counts = [0] * env.means.size
+    counts[arm] = 1
+    _, ys = env.sample_schedule(schedule(counts))
+    return float(ys[0])
 
 
 class TestSample:
     def test_silent_mode_exact(self):
         env = Environment.from_instance(make_instance(), seed=0, noise_mode="silent")
-        assert env.sample(0) == 1.0
+        assert pull(env, 0) == 1.0
         assert env.pull_count == 1
 
     def test_zero_noise_matrix_exact(self):
-        # A degenerate noise matrix is allowed at the simulator level only.
-        env = Environment(np.eye(2), np.array([0.7, 0.1]), np.zeros((2, 2)), seed=3)
-        assert env.sample(0) == pytest.approx(0.7, abs=0.0)
+        # Zero variances are allowed at the simulator level only.
+        env = Environment(np.array([0.7, 0.1]), np.zeros(2), seed=3)
+        assert pull(env, 0) == pytest.approx(0.7, abs=0.0)
 
     def test_large_sample_moments(self):
         env = Environment.from_instance(make_instance(), seed=42)
@@ -41,14 +50,9 @@ class TestSample:
         assert abs(ys.mean() - 1.0) < 0.02
         assert abs(ys.var() / 4.0 - 1.0) < 0.03
 
-    def test_invalid_index(self):
-        env = Environment.from_instance(make_instance())
-        with pytest.raises(IndexError):
-            env.sample(3)
-
     def test_bad_noise_mode(self):
         with pytest.raises(ValueError):
-            Environment(np.eye(2), np.zeros(2), np.eye(2), noise_mode="loud")
+            Environment(np.zeros(2), np.ones(2), noise_mode="loud")
 
 
 class TestDeterminism:
@@ -56,8 +60,8 @@ class TestDeterminism:
         inst = make_instance()
         env_a = Environment.from_instance(inst, seed=7)
         env_b = Environment.from_instance(inst, seed=7)
-        seq_a = [env_a.sample(i % 3) for i in range(20)]
-        seq_b = [env_b.sample(i % 3) for i in range(20)]
+        seq_a = [pull(env_a, i % 3) for i in range(20)]
+        seq_b = [pull(env_b, i % 3) for i in range(20)]
         assert seq_a == seq_b
 
     def test_schedule_matches_call_sequence(self):
@@ -65,7 +69,7 @@ class TestDeterminism:
         env_a = Environment.from_instance(inst, seed=5)
         env_b = Environment.from_instance(inst, seed=5)
         idx, ys = env_a.sample_schedule(schedule([2, 1, 0]))
-        manual = [env_b.sample(0), env_b.sample(0), env_b.sample(1)]
+        manual = [pull(env_b, 0), pull(env_b, 0), pull(env_b, 1)]
         assert list(idx) == [0, 0, 1]
         assert np.allclose(ys, manual)
 
@@ -73,9 +77,9 @@ class TestDeterminism:
         inst = make_instance()
         parent = Environment.from_instance(inst, seed=11)
         child_a, child_b = parent.split(2)
-        draws_a = [child_a.sample(0) for _ in range(5)]
-        draws_b = [child_b.sample(0) for _ in range(5)]
-        draws_p = [parent.sample(0) for _ in range(5)]
+        draws_a = [pull(child_a, 0) for _ in range(5)]
+        draws_b = [pull(child_b, 0) for _ in range(5)]
+        draws_p = [pull(parent, 0) for _ in range(5)]
         assert draws_a != draws_b
         assert draws_a != draws_p
 
@@ -83,7 +87,7 @@ class TestDeterminism:
         inst = make_instance()
         one = Environment.from_instance(inst, seed=11).split(2)[1]
         two = Environment.from_instance(inst, seed=11).split(2)[1]
-        assert [one.sample(2) for _ in range(4)] == [two.sample(2) for _ in range(4)]
+        assert [pull(one, 2) for _ in range(4)] == [pull(two, 2) for _ in range(4)]
 
 
 class TestBookkeeping:
@@ -118,17 +122,26 @@ class TestBookkeeping:
         assert abs(totals.mean() - 10.0) < 0.7
         assert abs(totals.var() / 40.0 - 1.0) < 0.3
 
-    def test_recorder_logs_pulls(self):
-        log: list = []
-        env = Environment.from_instance(make_instance(), seed=2, recorder=log)
-        env.sample(1)
-        env.sample_schedule(schedule([1, 0, 1]))
-        assert len(log) == 3
-        labels = {entry[0] for entry in log}
-        assert labels == {"env"}
-        child = env.split(1)[0]
-        child.sample(0)
-        assert log[-1][0] == "env/0"
+
+class TestSharedArrays:
+    def test_environments_hold_the_instance_arrays(self):
+        # No environment owns a per-arm array: the instance's frozen means and
+        # variances are shared, not copied, by every split child too.
+        inst = make_instance()
+        env = Environment.from_instance(inst, seed=4)
+        for e in [env, *env.split(3), *env.split(2)[0].split(2)]:
+            assert e.means is inst.arm_means
+            assert e.variances is inst.arm_variances()
+        assert not inst.arm_means.flags.writeable
+        assert not inst.arm_variances().flags.writeable
+        assert np.array_equal(inst.arm_means, inst.arms @ inst.theta_star)
+        assert np.array_equal(
+            inst.arm_variances(), np.einsum("ij,jk,ik->i", inst.arms, inst.sigma_star, inst.arms)
+        )
+
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            Environment(np.zeros(3), np.ones(2))
 
 
 class LoopReference:
@@ -138,14 +151,12 @@ class LoopReference:
     and one scalar per ``sample`` call.
     """
 
-    def __init__(self, inst, seed, noise_mode, label="env"):
+    def __init__(self, inst, seed, noise_mode):
         self.means = inst.arms @ inst.theta_star
         var = np.einsum("ij,jk,ik->i", inst.arms, inst.sigma_star, inst.arms)
         self.stds = np.sqrt(np.maximum(var, 0.0))
         self.rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         self.gaussian = noise_mode == "gaussian"
-        self.label = label
-        self.log: list = []
         self.pull_count = 0
 
     def sample(self, arm):
@@ -153,7 +164,6 @@ class LoopReference:
         if self.gaussian:
             y = y + self.stds[arm] * self.rng.standard_normal()
         self.pull_count += 1
-        self.log.append((self.label, arm, float(y)))
         return float(y)
 
     def sample_schedule(self, counts):
@@ -169,7 +179,6 @@ class LoopReference:
             y_parts.append(ys)
         idx, ys = np.concatenate(idx_parts), np.concatenate(y_parts)
         self.pull_count += sum(counts)
-        self.log.extend((self.label, int(a), float(v)) for a, v in zip(idx, ys))
         return idx, ys
 
     def sample_schedule_sums(self, counts):
@@ -211,12 +220,11 @@ class TestLoopFreeSampling:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_bit_identical_to_per_arm_loop(self, noise_mode, seed):
         inst = make_instance()
-        log: list = []
-        env = Environment.from_instance(inst, seed=seed, noise_mode=noise_mode, recorder=log)
+        env = Environment.from_instance(inst, seed=seed, noise_mode=noise_mode)
         ref = LoopReference(inst, seed, noise_mode)
         for kind, arg in self.CALLS:
             if kind == "sample":
-                assert env.sample(arg) == ref.sample(arg)
+                assert pull(env, arg) == ref.sample(arg)
             elif kind == "schedule":
                 idx, ys = env.sample_schedule(schedule(arg))
                 ref_idx, ref_ys = ref.sample_schedule(arg)
@@ -228,9 +236,8 @@ class TestLoopFreeSampling:
                 assert np.array_equal(counts, ref_counts)
                 assert np.array_equal(sums, ref_sums)
             assert env.pull_count == ref.pull_count
-        assert log == ref.log
         # The streams are still in step after every call.
-        assert env.sample(1) == ref.sample(1)
+        assert pull(env, 1) == ref.sample(1)
 
 
 class TestMomentSampling:
@@ -263,7 +270,7 @@ class TestMomentSampling:
                 assert np.array_equal(a, b)
             assert np.all(got[2][np.asarray(counts) <= 1] == 0.0)
             assert env.pull_count == ref.pull_count
-        assert env.sample(1) == ref.sample(1)
+        assert pull(env, 1) == ref.sample(1)
 
     def test_arm_moments_computed_once(self, monkeypatch):
         einsum = np.einsum
@@ -273,20 +280,25 @@ class TestMomentSampling:
             calls.append(args[0])
             return einsum(*args, **kwargs)
 
-        env = Environment.from_instance(make_instance(), seed=2)
+        # The instance computes each arm's x' Sigma x once, at construction;
+        # no environment or draw computes it again.
+        truth = make_instance()
         monkeypatch.setattr(np, "einsum", counting_einsum)
-        env.sample_schedule_moments(schedule([3, 1, 4]))
+        inst = HeteroInstance(truth.arms, truth.targets, truth.theta_star, truth.sigma_star,
+                              truth.sigma_min_sq, truth.sigma_max_sq)
         assert len(calls) == 1
-        # Nothing stays held: the next draw computes them afresh.
-        env.sample_schedule_sums(schedule([1, 1, 1]))
-        assert len(calls) == 2
+        env = Environment.from_instance(inst, seed=2)
+        env.sample_schedule_moments(schedule([3, 1, 4]))
+        env.split(2)[1].sample_schedule_sums(schedule([1, 1, 1]))
+        env.sample_schedule(schedule([2, 0, 1]))
+        assert len(calls) == 1
 
     def test_silent_mode_exact(self):
         inst = make_instance()
         env = Environment.from_instance(inst, seed=1, noise_mode="silent")
         counts, sums, ss = env.sample_schedule_moments(schedule([4, 0, 3]))
         assert np.array_equal(counts, [4.0, 0.0, 3.0])
-        assert np.array_equal(sums, counts * (inst.arms @ inst.theta_star))
+        assert np.array_equal(sums, counts * inst.arm_means)
         assert np.array_equal(ss, np.zeros(3))
         assert env.pull_count == 7
 
@@ -295,9 +307,8 @@ class TestMomentSampling:
         # 20 000 identical arms with variance 4: SS / 4 ~ chi^2_{n-1}, so
         # E[SS] = 4 (n-1) and Var[SS] = 32 (n-1). The tolerances (4 % on the
         # mean, 10 % on the variance) are at least 3.8 standard errors.
-        arms = np.ones((20_000, 1))
-        env = Environment(arms, np.array([0.5]), np.array([[4.0]]), seed=17)
-        _, _, ss = env.sample_schedule_moments(schedule([n] * arms.shape[0]))
+        env = Environment(np.full(20_000, 0.5), np.full(20_000, 4.0), seed=17)
+        _, _, ss = env.sample_schedule_moments(schedule([n] * 20_000))
         assert abs(ss.mean() / (4.0 * (n - 1)) - 1.0) < 0.04
         assert abs(ss.var() / (32.0 * (n - 1)) - 1.0) < 0.10
 

@@ -22,12 +22,14 @@ from hetbandit.core import greedy_spanning_subset, lift_arms, solve_psd, vech
 from hetbandit.presets import build_varest_instance
 
 
-def per_pull_moments(env, schedule):
+def per_pull_moments(env, schedule, draws):
     """Reference per-arm moments from individual pulls: every pull is drawn
-    through ``sample_schedule``, so a recorder logs it, and then reduced to
-    (counts, sums, SS) with ``SS`` taken about each arm's own mean."""
+    through ``sample_schedule``, the call's (arm indices, observations) are
+    appended to ``draws``, and the pulls are reduced to (counts, sums, SS)
+    with ``SS`` taken about each arm's own mean."""
     n_arms = len(schedule.counts)
     idx, ys = env.sample_schedule(schedule)
+    draws.append((idx, ys))
     counts = np.bincount(idx, minlength=n_arms)
     sums = np.bincount(idx, weights=ys, minlength=n_arms)
     means = np.divide(sums, counts, out=np.zeros(n_arms), where=counts > 0)
@@ -37,8 +39,14 @@ def per_pull_moments(env, schedule):
 
 @pytest.fixture
 def per_pull_sampling(monkeypatch):
-    """Draw the estimators' moments pull by pull, so the recorder fills."""
-    monkeypatch.setattr(Environment, "sample_schedule_moments", per_pull_moments)
+    """Draw the estimators' moments pull by pull; returns the list of each
+    call's (arm indices, observations), in call order."""
+    draws: list = []
+    monkeypatch.setattr(
+        Environment, "sample_schedule_moments",
+        lambda env, schedule: per_pull_moments(env, schedule, draws),
+    )
+    return draws
 
 
 def basis_instance(d=3, noise=2.0):
@@ -117,32 +125,25 @@ class TestHeadEstimate:
         with pytest.raises(InsufficientBudget):
             head_estimate(inst, env, 2)
 
-    @pytest.mark.usefixtures("per_pull_sampling")
-    def test_sample_splitting_structural(self):
+    def test_sample_splitting_structural(self, per_pull_sampling):
         # Stage-2 residuals regress against the stage-1 fit only: both stages
-        # are exactly reconstructable from the instrumented call log.
+        # are exactly reconstructable from the captured draws, stage 1 being
+        # the first call and stage 2 the second.
         inst = three_arm_instance()
-        log: list = []
-        env = Environment.from_instance(inst, seed=9, recorder=log)
-        est = head_estimate(inst, env, 600)
+        est = head_estimate(inst, Environment.from_instance(inst, seed=9), 600)
 
-        stage1 = [(a, y) for label, a, y in log if label.endswith("/0")]
-        stage2 = [(a, y) for label, a, y in log if label.endswith("/1")]
-        assert len(stage1) == est.stage_totals[0]
-        assert len(stage2) == est.stage_totals[1]
-        assert len(stage1) + len(stage2) == len(log) == est.budget_used
+        (idx1, y1), (idx2, y2) = per_pull_sampling
+        assert idx1.size == est.stage_totals[0]
+        assert idx2.size == est.stage_totals[1]
+        assert idx1.size + idx2.size == est.budget_used
 
         arms = inst.arms
-        x1 = arms[[a for a, _ in stage1]]
-        y1 = np.array([y for _, y in stage1])
+        x1 = arms[idx1]
         theta = np.linalg.solve(x1.T @ x1, x1.T @ y1)
         assert np.allclose(theta, est.theta_hat, atol=1e-10)
 
-        phi = lift_arms(arms)
-        rows = phi[[a for a, _ in stage2]]
-        y2 = np.array([y for _, y in stage2])
-        resid = (y2 - arms[[a for a, _ in stage2]] @ theta) ** 2
-        coeffs, _, _, _ = np.linalg.lstsq(rows, resid, rcond=None)
+        resid = (y2 - arms[idx2] @ theta) ** 2
+        coeffs, _, _, _ = np.linalg.lstsq(lift_arms(arms)[idx2], resid, rcond=None)
         assert np.allclose(coeffs, vech(est.sigma_hat_matrix), atol=1e-10)
 
     def test_per_arm_recomputable_and_clamped(self):
@@ -259,29 +260,21 @@ class TestEstimatorProperties:
         assert all(rel <= 0.05 for rel in inversions)
 
 
-# Per-pull reference implementations: each rebuilds, from a recorder log,
-# the regression the estimator would run with one row per pull.
-def _log_pulls(log, suffix=""):
-    pulls = [(a, y) for label, a, y in log if label.endswith(suffix)]
-    idx = np.array([a for a, _ in pulls], dtype=np.int64)
-    ys = np.array([y for _, y in pulls])
-    return idx, ys
-
-
-def _per_pull_head(inst, log):
+# Per-pull reference implementations: each rebuilds, from the captured
+# draws, the regression the estimator would run with one row per pull.
+def _per_pull_head(inst, draws):
     X, phi = inst.arms, lift_arms(inst.arms)
-    idx1, y1 = _log_pulls(log, "/0")
+    (idx1, y1), (idx2, y2) = draws
     rows1 = X[idx1]
     theta = solve_psd(rows1.T @ rows1, rows1.T @ y1)
-    idx2, y2 = _log_pulls(log, "/1")
     resid_sq = (y2 - X[idx2] @ theta) ** 2
     coeffs, _, rank, _ = np.linalg.lstsq(phi[idx2], resid_sq, rcond=None)
     return theta, coeffs, rank < phi.shape[1], False
 
 
-def _per_pull_uniform(inst, log):
+def _per_pull_uniform(inst, draws):
     X, phi = inst.arms, lift_arms(inst.arms)
-    idx, ys = _log_pulls(log)
+    ((idx, ys),) = draws
     rows = X[idx]
     gram = rows.T @ rows
     ridge_used = np.linalg.matrix_rank(gram) < inst.dimension
@@ -294,10 +287,10 @@ def _per_pull_uniform(inst, log):
     return theta, coeffs, rank_deficient, ridge_used or rank_deficient
 
 
-def _per_pull_separate(inst, log):
+def _per_pull_separate(inst, draws):
     phi = lift_arms(inst.arms)
     chosen = greedy_spanning_subset(phi, phi.shape[1])
-    idx, ys = _log_pulls(log)
+    ((idx, ys),) = draws
     sample_vars = np.empty(len(chosen))
     for pos, arm in enumerate(chosen):
         obs = ys[idx == arm]
@@ -305,12 +298,11 @@ def _per_pull_separate(inst, log):
     return None, np.linalg.solve(phi[chosen], sample_vars), False, False
 
 
-@pytest.mark.usefixtures("per_pull_sampling")
 class TestPerPullEquivalence:
     """Sufficient-statistic estimators match the one-row-per-pull regressions.
 
-    The moments are reduced from logged pulls (``per_pull_moments``), so both
-    forms see the same data.
+    The moments are reduced from captured pulls (``per_pull_moments``), so
+    both forms see the same data.
     """
 
     ESTIMATORS = {
@@ -325,8 +317,8 @@ class TestPerPullEquivalence:
         ),
     }
 
-    def _check(self, inst, est, reference, log):
-        theta, coeffs, rank_deficient, _ = reference(inst, log)
+    def _check(self, inst, est, reference, draws):
+        theta, coeffs, rank_deficient, _ = reference(inst, draws)
         if theta is None:
             assert est.theta_hat is None
         else:
@@ -338,36 +330,31 @@ class TestPerPullEquivalence:
 
     @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_per_pull_regression(self, kind, seed):
+    def test_matches_per_pull_regression(self, per_pull_sampling, kind, seed):
         inst = build_varest_instance({"d": 4, "n_sphere": 30, "n_small": 60}, seed)
-        log: list = []
-        env = Environment.from_instance(inst, seed=seed, recorder=log)
+        env = Environment.from_instance(inst, seed=seed)
         estimate, reference = self.ESTIMATORS[kind]
         est = estimate(inst, env, seed)
-        assert len(log) == est.budget_used
-        self._check(inst, est, reference, log)
+        assert sum(idx.size for idx, _ in per_pull_sampling) == est.budget_used
+        self._check(inst, est, reference, per_pull_sampling)
 
-    def test_head_rank_deficient_lift_keeps_min_norm(self):
+    def test_head_rank_deficient_lift_keeps_min_norm(self, per_pull_sampling):
         # Basis arms lift onto the diagonal only, so the stage-2 pulls span
         # three of the six lift directions.
         inst = basis_instance()
-        log: list = []
-        env = Environment.from_instance(inst, seed=4, recorder=log)
-        est = head_estimate(inst, env, 600)
+        est = head_estimate(inst, Environment.from_instance(inst, seed=4), 600)
         assert est.rank_deficient
-        self._check(inst, est, _per_pull_head, log)
+        self._check(inst, est, _per_pull_head, per_pull_sampling)
 
     @pytest.mark.parametrize("rng_seed", [0, 1, 2, 4])
-    def test_uniform_rank_deficient_keeps_min_norm(self, rng_seed):
+    def test_uniform_rank_deficient_keeps_min_norm(self, per_pull_sampling, rng_seed):
         # Two pulls reach at most two of the three lift directions; the seeds
         # cover one arm pulled twice and two different arms.
         inst = three_arm_instance()
-        log: list = []
-        env = Environment.from_instance(inst, seed=6, recorder=log)
-        est = uniform_estimate(inst, env, 2, rng_seed=rng_seed)
+        est = uniform_estimate(inst, Environment.from_instance(inst, seed=6), 2, rng_seed=rng_seed)
         assert est.rank_deficient
         X, phi = inst.arms, lift_arms(inst.arms)
-        idx, ys = _log_pulls(log)
+        ((idx, ys),) = per_pull_sampling
         theta = np.linalg.lstsq(X[idx], ys, rcond=None)[0]
         coeffs = np.linalg.lstsq(phi[idx], (ys - X[idx] @ theta) ** 2, rcond=None)[0]
         assert np.allclose(est.theta_hat, theta, rtol=0, atol=1e-10)
