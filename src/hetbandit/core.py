@@ -170,10 +170,30 @@ def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:
 
     Minimizes ``sum_i n_i p_i (x_i' b - s_i / n_i)^2`` over the arms with
     ``n_i > 0`` (``p_i = 1`` without ``precision``), which is the regression
-    with one row ``x_i`` per pull when ``s_i`` sums arm i's targets. Solved by
-    ``lstsq`` on the root-weighted rows with that regression's rank cutoff,
-    ``eps * max(sum n_i, columns)``; rows that span less than the space give
-    the minimum-norm solution and a rank below the column count.
+    with one row ``x_i`` per pull when ``s_i`` sums arm i's targets. Its rank
+    cutoff is that regression's, ``rcond = eps * max(sum n_i, p)``.
+
+    With ``A`` the m x p root-weighted pulled rows, one matmul forms
+    ``G = A'A`` and one ``eigh`` gives ``G = V diag(lam) V'``. The rounding in
+    ``G`` (at most about ``m * eps * ||A||_F^2``) and the backward error of
+    ``eigh`` (about ``p * eps * ||G||_2``) sum to at most
+    ``delta = (m + p) * eps * trace(G)``, as ``||A||_F^2 = trace(G)``, so by
+    Weyl's inequality ``s_min(A)^2 >= lam_min - delta`` and
+    ``s_max(A)^2 <= lam_max + delta``. When ``m >= p`` and
+
+        lam_min - delta >= max(1e-8 * lam_max, rcond^2 * (lam_max + delta)),
+
+    the second term gives ``s_min > rcond * s_max``, so ``lstsq`` would report
+    full rank and return the unique solution; the first caps ``kappa(A)``
+    near ``1e4``, so the normal-equation error, about ``kappa^2 * eps``
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 20; Bjorck,
+    Numerical Methods for Least Squares Problems, 2.2), is at most about
+    2e-8, and one refinement step on the residual ``y - A coef`` brings it to
+    the ``lstsq`` level. That fit returns ``V (V'A'y / lam)`` plus the step,
+    with rank ``p``. Every other fit (``m < p``, rank deficient or ill
+    conditioned) runs ``lstsq`` with the cutoff above, so rows that span less
+    than the space still give the minimum-norm solution and a rank below
+    ``p``.
     """
     X = np.asarray(X, dtype=np.float64)
     counts = np.asarray(counts)
@@ -181,10 +201,19 @@ def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:
     n = counts[pulled]
     w = n if precision is None else n * np.asarray(precision, dtype=np.float64)[pulled]
     root = np.sqrt(w)
-    rcond = np.finfo(np.float64).eps * max(n.sum(), X.shape[1])
-    coef, _, rank, _ = np.linalg.lstsq(
-        X[pulled] * root[:, None], np.asarray(sums)[pulled] / n * root, rcond=rcond
-    )
+    A = X[pulled] * root[:, None]
+    y = np.asarray(sums)[pulled] / n * root
+    (m, p), eps = A.shape, np.finfo(np.float64).eps
+    rcond = eps * max(n.sum(), p)
+    if m >= p:
+        gram = A.T @ A
+        lam, V = np.linalg.eigh(gram)
+        delta = (m + p) * eps * np.trace(gram)
+        if lam[0] - delta >= max(1e-8 * lam[-1], rcond**2 * (lam[-1] + delta)):
+            coef = V @ (V.T @ (A.T @ y) / lam)
+            coef += V @ (V.T @ (A.T @ (y - A @ coef)) / lam)
+            return coef, p
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=rcond)
     return coef, int(rank)
 
 
@@ -237,11 +266,18 @@ class HeteroInstance:
 
     @classmethod
     def from_truth(cls, arms, targets, theta_star, sigma_star) -> "HeteroInstance":
-        """Build an instance with bounds set to the exact min/max arm variance."""
-        arms_m = _as_matrix(arms, "arms")
-        sigma = np.asarray(sigma_star, dtype=np.float64)
-        var = np.einsum("ij,jk,ik->i", arms_m, sigma, arms_m)
-        return cls(arms_m, targets, theta_star, sigma, float(var.min()), float(var.max()))
+        """Build an instance with bounds set to the exact min/max arm variance.
+
+        The constructor runs with bounds that admit every variance, and its
+        stored variances then set the bounds, so ``x' Sigma x`` is computed
+        once."""
+        inst = cls(arms, targets, theta_star, sigma_star, math.ulp(0.0), math.inf)
+        var = inst.arm_variances()
+        if not var.min() > 0:
+            raise ValueError("need 0 < sigma_min_sq <= sigma_max_sq")
+        object.__setattr__(inst, "sigma_min_sq", float(var.min()))
+        object.__setattr__(inst, "sigma_max_sq", float(var.max()))
+        return inst
 
     @property
     def dimension(self) -> int:

@@ -116,6 +116,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.fw_tol > 0:
             raise ValueError("fw_tol must be positive")
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds must be at least 1")
 
 
 def wls_estimate(xs, ys, weights=None) -> np.ndarray:

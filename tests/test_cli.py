@@ -292,7 +292,9 @@ class TestCliMain:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("setting", ["c_prime=abc", "max_rounds=abc", "fw_tol=0", "fw_tol=-1"])
+    @pytest.mark.parametrize("setting", [
+        "c_prime=abc", "max_rounds=abc", "max_rounds=0", "max_rounds=-1", "fw_tol=0", "fw_tol=-1",
+    ])
     def test_bad_run_setting_exits_2(self, tmp_path, capsys, setting, jobs):
         code = main([
             "run", "--preset", "example2", "--reps", "2", "--jobs", jobs, "--algorithms", "rage",

@@ -147,7 +147,9 @@ def _unit_instance():
 
 
 class TestFitArmSums:
-    """The per-arm fit equals least squares with one row per pull."""
+    """The per-arm fit equals least squares with one row per pull, and takes
+    the normal-equation path exactly when that regression is well
+    conditioned and full rank."""
 
     @staticmethod
     def per_pull(X, counts, ys, precision):
@@ -157,10 +159,29 @@ class TestFitArmSums:
         coef, _, rank, _ = np.linalg.lstsq(X[idx] * root[:, None], ys * root, rcond=None)
         return coef, rank
 
+    @staticmethod
+    def fit_counting_lstsq(monkeypatch, *args):
+        """``fit_arm_sums(*args)`` and the number of ``lstsq`` calls it made."""
+        lstsq, calls = np.linalg.lstsq, []
+
+        def counting(*a, **k):
+            calls.append(a)
+            return lstsq(*a, **k)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "lstsq", counting)
+            coef, rank = fit_arm_sums(*args)
+        return coef, rank, len(calls)
+
+    @staticmethod
+    def assert_matches(coef, rank, ref_coef, ref_rank):
+        assert rank == ref_rank
+        assert np.linalg.norm(coef - ref_coef) <= 1e-10 * np.linalg.norm(ref_coef)
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("support_rank", [None, 2])
-    def test_matches_one_row_per_pull(self, seed, weighted, support_rank):
+    def test_matches_one_row_per_pull(self, monkeypatch, seed, weighted, support_rank):
         rng = np.random.default_rng(seed)
         n_arms, d = 9, 4
         X = rng.standard_normal((n_arms, d))
@@ -176,12 +197,61 @@ class TestFitArmSums:
         ys = rng.standard_normal(idx.size)
         sums = np.bincount(idx, weights=ys, minlength=n_arms)
 
-        coef, rank = fit_arm_sums(X, counts, sums, precision if weighted else None)
+        coef, rank, lstsq_calls = self.fit_counting_lstsq(
+            monkeypatch, X, counts, sums, precision if weighted else None
+        )
         ref_coef, ref_rank = self.per_pull(X, counts, ys, precision)
         np.testing.assert_allclose(coef, ref_coef, rtol=0, atol=1e-10)
         assert rank == ref_rank
         if support_rank is not None:
             assert rank == support_rank
+            assert lstsq_calls == 1
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_lifted_size_multinomial_counts(self, monkeypatch, weighted):
+        # HEAD's stage-2 shape at d=15: 500 arms, 120 lifted columns.
+        rng = np.random.default_rng(15)
+        phi = lift_arms(rng.standard_normal((500, 15)))
+        counts = rng.multinomial(3000, rng.dirichlet(np.ones(500)))
+        assert (counts == 0).any() and (counts > 0).sum() >= phi.shape[1]
+        precision = rng.uniform(0.2, 5.0, 500) if weighted else np.ones(500)
+        idx = np.repeat(np.arange(500), counts)
+        ys = rng.standard_normal(idx.size) ** 2
+        sums = np.bincount(idx, weights=ys, minlength=500)
+
+        coef, rank, lstsq_calls = self.fit_counting_lstsq(
+            monkeypatch, phi, counts, sums, precision if weighted else None
+        )
+        self.assert_matches(coef, rank, *self.per_pull(phi, counts, ys, precision))
+        assert rank == phi.shape[1]
+        assert lstsq_calls == 0
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_conditioning_sweep(self, monkeypatch, kappa, weighted):
+        # The root-weighted rows have condition number kappa. One pull per
+        # arm makes them the per-pull rows themselves, so the reference
+        # solves the same problem and any difference is the solver's (two
+        # different ill-conditioned matrices would differ by kappa * eps).
+        rng = np.random.default_rng(int(np.log10(kappa)))
+        m, p = 30, 8
+        counts = np.ones(m, dtype=int)
+        precision = rng.uniform(0.2, 5.0, m) if weighted else np.ones(m)
+        left = np.linalg.qr(rng.standard_normal((m, p)))[0]
+        right = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        rows = left @ np.diag(np.geomspace(1.0, 1.0 / kappa, p)) @ right.T
+        X = rows / np.sqrt(precision)[:, None]
+        ys = rng.standard_normal(m)
+
+        coef, rank, lstsq_calls = self.fit_counting_lstsq(
+            monkeypatch, X, counts, ys, precision if weighted else None
+        )
+        self.assert_matches(coef, rank, *self.per_pull(X, counts, ys, precision))
+        assert rank == p
+        if kappa <= 1e3:
+            assert lstsq_calls == 0
+        if kappa >= 1e9:
+            assert lstsq_calls == 1
 
 
 class TestClampVariance:

@@ -287,6 +287,12 @@ class TestMomentSampling:
         inst = HeteroInstance(truth.arms, truth.targets, truth.theta_star, truth.sigma_star,
                               truth.sigma_min_sq, truth.sigma_max_sq)
         assert len(calls) == 1
+        # from_truth sets the bounds from the constructor's own pass.
+        calls.clear()
+        tight = HeteroInstance.from_truth(truth.arms, truth.targets, truth.theta_star, truth.sigma_star)
+        assert len(calls) == 1
+        var = inst.arm_variances()
+        assert (tight.sigma_min_sq, tight.sigma_max_sq) == (var.min(), var.max())
         env = Environment.from_instance(inst, seed=2)
         env.sample_schedule_moments(schedule([3, 1, 4]))
         env.split(2)[1].sample_schedule_sums(schedule([1, 1, 1]))
