@@ -153,16 +153,32 @@ def solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(c.T, np.linalg.solve(c, np.asarray(b, dtype=np.float64)))
 
 
+def gram_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(lam, V, delta)``: the eigenpairs ``G = V diag(lam) V'`` of the Gram
+    matrix ``G = A'A`` of an m x p matrix ``A``, from one matmul and one
+    ``eigh``, and their rounding bound. The rounding in ``G`` (at most about
+    ``m * eps * ||A||_F^2``) and the backward error of ``eigh`` (about
+    ``p * eps * ||G||_2``) sum to at most ``delta = (m + p) * eps * trace(G)``,
+    as ``||A||_F^2 = trace(G)``, so by Weyl's inequality each ``s_k(A)^2`` lies
+    within ``delta`` of ``lam_k`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 20; Bjorck, Numerical Methods for Least Squares Problems,
+    2.2). An eigenvalue counts as nonzero exactly when it exceeds ``delta``.
+    """
+    gram = A.T @ A
+    lam, V = np.linalg.eigh(gram)
+    return lam, V, float(sum(A.shape) * np.finfo(np.float64).eps * np.trace(gram))
+
+
 def quad_forms(X: np.ndarray, V: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``v' A^+ v`` for each row ``v`` of ``V``, with ``A = sum_i w_i x_i x_i'``,
-    from one ``eigh``: eigenvalues above ``lambda_max * r * eps`` span the
-    range of ``A``, and a row more than ``1e-9`` of its norm outside it
-    gets ``inf``."""
-    eig, vecs = np.linalg.eigh((X * w[:, None]).T @ X)
-    keep = eig > eig[-1] * eig.size * np.finfo(np.float64).eps
+    from :func:`gram_eigh` of the rows ``x_i sqrt(w_i)``: the eigenvalues
+    above its ``delta`` span the range of ``A``, and a row more than ``1e-9``
+    of its norm outside it gets ``inf``."""
+    lam, vecs, delta = gram_eigh(X * np.sqrt(w)[:, None])
+    keep = lam > delta
     coords = V @ vecs
     outside = np.linalg.norm(coords[:, ~keep], axis=1) > 1e-9 * np.linalg.norm(V, axis=1)
-    return np.where(outside, math.inf, (coords[:, keep] ** 2 / eig[keep]).sum(axis=1))
+    return np.where(outside, math.inf, (coords[:, keep] ** 2 / lam[keep]).sum(axis=1))
 
 
 def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:
@@ -173,27 +189,22 @@ def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:
     with one row ``x_i`` per pull when ``s_i`` sums arm i's targets. Its rank
     cutoff is that regression's, ``rcond = eps * max(sum n_i, p)``.
 
-    With ``A`` the m x p root-weighted pulled rows, one matmul forms
-    ``G = A'A`` and one ``eigh`` gives ``G = V diag(lam) V'``. The rounding in
-    ``G`` (at most about ``m * eps * ||A||_F^2``) and the backward error of
-    ``eigh`` (about ``p * eps * ||G||_2``) sum to at most
-    ``delta = (m + p) * eps * trace(G)``, as ``||A||_F^2 = trace(G)``, so by
-    Weyl's inequality ``s_min(A)^2 >= lam_min - delta`` and
+    With ``A`` the m x p root-weighted pulled rows, :func:`gram_eigh` gives
+    ``lam``, ``V`` and ``delta`` with ``s_min(A)^2 >= lam_min - delta`` and
     ``s_max(A)^2 <= lam_max + delta``. When ``m >= p`` and
 
-        lam_min - delta >= max(1e-8 * lam_max, rcond^2 * (lam_max + delta)),
+        lam_min - delta > max(1e-8 * lam_max, rcond^2 * (lam_max + delta)),
 
     the second term gives ``s_min > rcond * s_max``, so ``lstsq`` would report
     full rank and return the unique solution; the first caps ``kappa(A)``
-    near ``1e4``, so the normal-equation error, about ``kappa^2 * eps``
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 20; Bjorck,
-    Numerical Methods for Least Squares Problems, 2.2), is at most about
-    2e-8, and one refinement step on the residual ``y - A coef`` brings it to
-    the ``lstsq`` level. That fit returns ``V (V'A'y / lam)`` plus the step,
-    with rank ``p``. Every other fit (``m < p``, rank deficient or ill
-    conditioned) runs ``lstsq`` with the cutoff above, so rows that span less
-    than the space still give the minimum-norm solution and a rank below
-    ``p``.
+    near ``1e4``, so the normal-equation error, about ``kappa^2 * eps``, is at
+    most about 2e-8, and one refinement step on the residual ``y - A coef``
+    brings it to the ``lstsq`` level. The inequality is strict, so all-zero
+    rows (every term zero) never pass. That fit returns ``V (V'A'y / lam)``
+    plus the step, with rank ``p``. Every other fit (``m < p``, rank
+    deficient or ill conditioned) runs ``lstsq`` with the cutoff above, so
+    rows that span less than the space still give the minimum-norm solution
+    and a rank below ``p``.
     """
     X = np.asarray(X, dtype=np.float64)
     counts = np.asarray(counts)
@@ -206,10 +217,8 @@ def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:
     (m, p), eps = A.shape, np.finfo(np.float64).eps
     rcond = eps * max(n.sum(), p)
     if m >= p:
-        gram = A.T @ A
-        lam, V = np.linalg.eigh(gram)
-        delta = (m + p) * eps * np.trace(gram)
-        if lam[0] - delta >= max(1e-8 * lam[-1], rcond**2 * (lam[-1] + delta)):
+        lam, V, delta = gram_eigh(A)
+        if lam[0] - delta > max(1e-8 * lam[-1], rcond**2 * (lam[-1] + delta)):
             coef = V @ (V.T @ (A.T @ y) / lam)
             coef += V @ (V.T @ (A.T @ (y - A @ coef)) / lam)
             return coef, p

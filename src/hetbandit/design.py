@@ -16,7 +16,8 @@ every step with no condition gate; scaled by ``1 - eta`` it bounds the
 original optimum, so a design returned ``certified`` is within ``tolerance``
 of it. Pruned unfloored weights, valued like every candidate through the
 pseudo-inverse, are returned whenever they certify too, so designs stay sparse.
-A problem the per-process memo already holds is not whitened again.
+A problem is whitened only when it is solved, so a problem the per-process
+memo already holds is never whitened.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import logging
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .core import (
     DimensionMismatch,
     SpanViolation,
     _as_matrix,
+    gram_eigh,
     quad_forms,
     solve_psd,  # not called here; bench/probe.py counts calls through this name
 )
@@ -46,26 +48,15 @@ INNER_STEPS = 5
 logger = logging.getLogger("hetbandit")
 
 
-def _in_span(V: np.ndarray, basis: np.ndarray) -> bool:
-    """Whether every row of ``V`` lies in the span of ``basis``' columns."""
-    resid = np.linalg.norm(V - (V @ basis) @ basis.T, axis=1)
-    return bool(np.all(resid <= 1e-9 * (1.0 + np.linalg.norm(V, axis=1))))
-
-
 @dataclass
 class DesignProblem:
     """A minimax design problem over a finite sample set.
 
     ``variances`` are per-sample noise variances dividing each outer product
     (all ones for the unweighted problem); ``max_iters`` caps the engine's
-    mixture steps. Construction fails with :class:`SpanViolation` if any
-    evaluation vector leaves the sample span, unless the memo of
-    :func:`solve_design` holds the problem (checked already, bit for bit).
-    That check takes one SVD of the rows ``x_i sqrt(prec_i / n)``, which
-    gives the span and whitens the problem in it (``basis /
-    singular_values``), so the uniform design has ``A = I`` and
-    rank-deficient or ill-conditioned sample sets are handled uniformly. A
-    solve whitens on demand a problem built on a memo hit.
+    mixture steps. Construction checks shapes, signs and the tolerance and
+    takes the memo digest; the span of the sample vectors is checked when
+    the problem is solved (see :func:`_whiten`).
     """
 
     sample_vectors: np.ndarray
@@ -73,8 +64,6 @@ class DesignProblem:
     variances: np.ndarray | None = None
     tolerance: float = 1e-3
     max_iters: int = 20_000
-    _samples_r: np.ndarray | None = field(default=None, init=False, repr=False)
-    _evals_r: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         X = _as_matrix(self.sample_vectors, "sample_vectors")
@@ -96,27 +85,26 @@ class DesignProblem:
         self.variances = w
         self._self_eval = X.shape == V.shape and np.array_equal(X, V)
         self._digest = _problem_digest(self)
-        with _memo_lock:
-            seen = self._digest in _memo
-        if not seen:
-            self._whitened()
 
-    def _whitened(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sample and evaluation vectors whitened on the sample span, so
-        singular directions never enter solves; computed on first use."""
-        if self._samples_r is None:
-            X, V = self.sample_vectors, self.eval_vectors
-            root = np.sqrt(1.0 / (self.variances * X.shape[0]))
-            u, s, _ = np.linalg.svd((X * root[:, None]).T, full_matrices=False)
-            rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps)) if s.size else 0
-            if rank == 0:
-                raise ValueError("sample vectors are all zero")
-            basis = u[:, :rank]
-            if not _in_span(V, basis):
-                raise SpanViolation("evaluation vector outside span of sample vectors")
-            whiten = basis / s[:rank]
-            self._samples_r, self._evals_r = X @ whiten, V @ whiten
-        return self._samples_r, self._evals_r
+
+def _whiten(X: np.ndarray, V: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample and evaluation vectors whitened on the sample span, so the
+    uniform design has ``A = I`` and singular directions never enter solves.
+
+    :func:`~hetbandit.core.gram_eigh` of the rows ``x_i / sqrt(var_i n)``
+    gives the span: the eigenvectors whose eigenvalues exceed its ``delta``.
+    Raises :class:`SpanViolation` if an evaluation vector has more than
+    ``1e-9 (1 + ||v||)`` outside it, and ``ValueError`` if the span is empty.
+    """
+    lam, vecs, delta = gram_eigh(X * np.sqrt(1.0 / (variances * X.shape[0]))[:, None])
+    keep = lam > delta
+    if not keep.any():
+        raise ValueError("sample vectors are all zero")
+    outside = np.linalg.norm(V @ vecs[:, ~keep], axis=1)
+    if np.any(outside > 1e-9 * (1.0 + np.linalg.norm(V, axis=1))):
+        raise SpanViolation("evaluation vector outside span of sample vectors")
+    whiten = vecs[:, keep] / np.sqrt(lam[keep])
+    return X @ whiten, V @ whiten
 
 
 def _d_optimal_warmstart(X, prec, target, tolerance, iters=3000):
@@ -157,8 +145,8 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
     floored optimum below by ``phi - (1 - eta) (max t - lam . t)``. Since
     ``A(lam_eff) >= (1 - eta) A(lam)``, the original optimum is at least
     ``1 - eta`` times the floored one, so ``(1 - eta)`` times that bound is a
-    lower bound on it. With ``X`` whitened as in :class:`DesignProblem`,
-    every floored ``A`` lies between ``eta I`` and ``n I`` (condition at most
+    lower bound on it. With ``X`` whitened by :func:`_whiten`, every floored
+    ``A`` lies between ``eta I`` and ``n I`` (condition at most
     ``3 n / tolerance``), so the bound is formed at every step with no
     condition gate. One ``np.linalg.solve`` after each design update gives
     ``C = A^-1 V'``; ``C`` and ``X C`` serve the next update and the bound,
@@ -262,8 +250,9 @@ def _solve_design(problem: DesignProblem) -> Design:
     ``PRUNE_THRESHOLD``, then its floored design. The first within
     ``tolerance`` of the bound is returned ``certified``; otherwise the best,
     uncertified, with a warning of its gap ``value / bound - 1`` logged.
+    Raises :class:`SpanViolation` or ``ValueError`` from :func:`_whiten`.
     """
-    X, V = problem._whitened()
+    X, V = _whiten(problem.sample_vectors, problem.eval_vectors, problem.variances)
     prec = 1.0 / problem.variances
     n, r = X.shape
     if V.shape[0] == 0:

@@ -14,7 +14,7 @@ from hetbandit import (
     unvech,
     vech,
 )
-from hetbandit.core import fit_arm_sums, quad_forms, solve_psd
+from hetbandit.core import fit_arm_sums, gram_eigh, quad_forms, solve_psd
 from hetbandit.varest import _clamp_all
 
 
@@ -146,6 +146,33 @@ def _unit_instance():
     )
 
 
+class TestGramEigh:
+    """``delta`` bounds how far each eigenvalue of the computed Gram matrix
+    sits from the squared singular value of the rows."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8])
+    def test_bound_holds_on_full_rank_rows(self, seed, kappa):
+        rng = np.random.default_rng(seed)
+        m, p = 40, 7
+        left = np.linalg.qr(rng.standard_normal((m, p)))[0]
+        right = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        A = left @ np.diag(np.geomspace(1.0, 1.0 / kappa, p)) @ right.T
+        lam, V, delta = gram_eigh(A)
+        s = np.linalg.svd(A, compute_uv=False)
+        assert lam[0] - delta <= s[-1] ** 2
+        assert lam[-1] - delta <= s[0] ** 2 <= lam[-1] + delta
+        np.testing.assert_allclose(V.T @ V, np.eye(p), rtol=0, atol=1e-12)
+
+    def test_rank_deficient_rows_leave_an_eigenvalue_at_or_below_delta(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((12, 4))
+        repeated = np.hstack([X, X[:, [1]]])
+        for A, nonzero in ((np.zeros((6, 3)), 0), (repeated, 4)):
+            lam, _, delta = gram_eigh(A)
+            assert np.count_nonzero(lam > delta) == nonzero
+
+
 class TestFitArmSums:
     """The per-arm fit equals least squares with one row per pull, and takes
     the normal-equation path exactly when that regression is well
@@ -180,7 +207,7 @@ class TestFitArmSums:
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("support_rank", [None, 2])
+    @pytest.mark.parametrize("support_rank", [None, 2, 0])
     def test_matches_one_row_per_pull(self, monkeypatch, seed, weighted, support_rank):
         rng = np.random.default_rng(seed)
         n_arms, d = 9, 4
@@ -188,7 +215,8 @@ class TestFitArmSums:
         counts = rng.integers(0, 6, n_arms)
         counts[rng.choice(n_arms, 3, replace=False)] = 0
         if support_rank is not None:
-            # The pulled arms span a subspace of dimension support_rank.
+            # The pulled arms span a subspace of dimension support_rank
+            # (all-zero rows for 0).
             pulled = np.flatnonzero(counts)
             basis = rng.standard_normal((support_rank, d))
             X[pulled] = rng.standard_normal((pulled.size, support_rank)) @ basis

@@ -20,12 +20,13 @@ from hetbandit import (
     solve_design,
 )
 from hetbandit import design as design_module
-from hetbandit.core import Design, SingularInformation, quad_forms
+from hetbandit.core import Design, SingularInformation, fit_arm_sums, lift_arms, quad_forms
 from hetbandit.design import (
     INNER_STEPS,
     MEMO_SIZE,
     _floored_eg_solve,
     _solve_design,
+    _whiten,
 )
 
 
@@ -65,9 +66,11 @@ class TestSolveDesign:
         assert design.value == pytest.approx(oracle, rel=5e-3)
 
     def test_span_violation_at_construction(self):
+        # Construction only validates; the solve finds the span.
         arms = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        problem = DesignProblem(arms, np.array([[0.0, 0.0, 1.0]]))
         with pytest.raises(SpanViolation):
-            DesignProblem(arms, np.array([[0.0, 0.0, 1.0]]))
+            solve_design(problem)
 
     def test_rank_deficient_samples_solved_in_span(self):
         arms = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
@@ -217,7 +220,7 @@ def weighted_transductive_problems(count=50, seed=60):
         problem = DesignProblem(arms, arms[iu[pick]] - arms[ju[pick]],
                                 variances=rng.uniform(0.5, 2.0, size=n),
                                 tolerance=float(rng.choice([1e-2, 1e-3])), max_iters=2000)
-        X, V = problem._whitened()
+        X, V = _whiten(problem.sample_vectors, problem.eval_vectors, problem.variances)
         yield X, V, 1.0 / problem.variances, problem.tolerance, problem.max_iters
 
 
@@ -261,8 +264,7 @@ class TestFlooredEngine:
             arms = rng.standard_normal((n, d)) * np.geomspace(1.0, squeeze, d)
             variances = rng.uniform(0.5, 2.0, size=n)
             tolerance = 1e-3
-            problem = DesignProblem(arms, arms[:2], variances=variances, tolerance=tolerance)
-            X, prec = problem._whitened()[0], 1.0 / variances
+            X, prec = _whiten(arms, arms[:2], variances)[0], 1.0 / variances
             uniform = (X * (prec / n)[:, None]).T @ X
             np.testing.assert_allclose(uniform, np.eye(d), rtol=0, atol=1e-12)
             eta = tolerance / 3.0
@@ -559,36 +561,47 @@ class TestSolveDesignMemo:
         assert len(empty_memo) <= 4
 
     def test_seen_problem_constructed_without_svd(self, empty_memo, monkeypatch):
-        svd = np.linalg.svd
-        calls = []
-
-        def counting_svd(*args, **kwargs):
-            calls.append(args)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        # A memo hit factors nothing. A fresh solve, an example1 round and the
+        # lifted varest problem, and a fit on the lifts take no SVD: every
+        # Gram spectrum comes from one eigh.
+        lifted = lift_arms(build_preset(ExperimentConfig("varest")).instance.arms)
+        calls = {"eigh": 0, "svd": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
         first = solve_design(memo_problem())
-        assert len(calls) == 1
-        again = memo_problem()
-        assert solve_design(again) is first
-        assert len(calls) == 1
-        assert again._samples_r is None
+        assert calls["eigh"] > 0
+        seen = dict(calls)
+        assert solve_design(memo_problem()) is first
+        assert calls == seen
+        assert solve_design(example1_round_problem([0, 4, 5, 6, 7, 8])).certified
+        design = solve_design(DesignProblem(lifted, lifted, tolerance=1e-2))
+        assert design.certified
+        counts = np.array(round_design(design, 10 * lifted.shape[1]).counts)
+        _, rank = fit_arm_sums(lifted, counts, counts * 1.5)
+        assert rank == lifted.shape[1]
+        assert calls["svd"] == 0
 
     def test_unseen_problem_checked_at_construction(self, empty_memo):
+        # Construction only validates; each check fails at the solve, which
+        # stores nothing.
         solve_design(memo_problem())
         arms = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        outside = DesignProblem(arms, np.array([[0.0, 0.0, 1.0]]))
+        zero = DesignProblem(np.zeros((2, 3)), np.zeros((1, 3)))
         with pytest.raises(SpanViolation):
-            DesignProblem(arms, np.array([[0.0, 0.0, 1.0]]))
+            solve_design(outside)
         with pytest.raises(ValueError, match="all zero"):
-            DesignProblem(np.zeros((2, 3)), np.zeros((1, 3)))
+            solve_design(zero)
+        assert len(empty_memo) == 1
 
     def test_entry_evicted_after_construction(self, empty_memo, monkeypatch):
-        # Built while the memo holds it, so not whitened; then evicted, so
-        # the solve must whiten on demand.
+        # Built while the memo holds it, then evicted: the solve starts afresh.
         fresh = _solve_design(memo_problem())
         solve_design(memo_problem())
         problem = memo_problem()
-        assert problem._samples_r is None
         engine = design_module._solve_design
         monkeypatch.setattr(design_module, "_solve_design", lambda p: design_module.Design(
             weights=np.full(2, 0.5), value=1.0, support_size=2))
