@@ -154,15 +154,15 @@ def solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gram_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(lam, V, delta)``: the eigenpairs ``G = V diag(lam) V'`` of the Gram
-    matrix ``G = A'A`` of an m x p matrix ``A``, from one matmul and one
-    ``eigh``, and their rounding bound. The rounding in ``G`` (at most about
-    ``m * eps * ||A||_F^2``) and the backward error of ``eigh`` (about
-    ``p * eps * ||G||_2``) sum to at most ``delta = (m + p) * eps * trace(G)``,
-    as ``||A||_F^2 = trace(G)``, so by Weyl's inequality each ``s_k(A)^2`` lies
-    within ``delta`` of ``lam_k`` (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 20; Bjorck, Numerical Methods for Least Squares Problems,
-    2.2). An eigenvalue counts as nonzero exactly when it exceeds ``delta``.
+    """``(lam, V, delta)``: the eigenpairs ``A'A = V diag(lam) V'`` of an
+    m x p matrix ``A``, from one matmul and one ``eigh``, and their rounding
+    bound. Rounding in ``A'A`` (about ``m eps ||A||_F^2``) and the backward
+    error of ``eigh`` (about ``p eps ||A'A||_2``) sum to at most
+    ``delta = (m + p) eps trace(A'A)``, so by Weyl's inequality each
+    ``s_k(A)^2`` lies within ``delta`` of ``lam_k`` (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 20; Bjorck, Numerical Methods for
+    Least Squares Problems, 2.2): an eigenvalue counts as nonzero exactly
+    when it exceeds ``delta``.
     """
     gram = A.T @ A
     lam, V = np.linalg.eigh(gram)
@@ -189,22 +189,19 @@ def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:
     with one row ``x_i`` per pull when ``s_i`` sums arm i's targets. Its rank
     cutoff is that regression's, ``rcond = eps * max(sum n_i, p)``.
 
-    With ``A`` the m x p root-weighted pulled rows, :func:`gram_eigh` gives
-    ``lam``, ``V`` and ``delta`` with ``s_min(A)^2 >= lam_min - delta`` and
-    ``s_max(A)^2 <= lam_max + delta``. When ``m >= p`` and
+    With ``A`` the m x p root-weighted pulled rows and ``lam``, ``V`` and
+    ``delta`` from :func:`gram_eigh`, a fit with ``m >= p`` and
 
-        lam_min - delta > max(1e-8 * lam_max, rcond^2 * (lam_max + delta)),
+        lam_min - delta > max(1e-8 * lam_max, rcond^2 * (lam_max + delta))
 
-    the second term gives ``s_min > rcond * s_max``, so ``lstsq`` would report
-    full rank and return the unique solution; the first caps ``kappa(A)``
-    near ``1e4``, so the normal-equation error, about ``kappa^2 * eps``, is at
-    most about 2e-8, and one refinement step on the residual ``y - A coef``
-    brings it to the ``lstsq`` level. The inequality is strict, so all-zero
-    rows (every term zero) never pass. That fit returns ``V (V'A'y / lam)``
-    plus the step, with rank ``p``. Every other fit (``m < p``, rank
-    deficient or ill conditioned) runs ``lstsq`` with the cutoff above, so
-    rows that span less than the space still give the minimum-norm solution
-    and a rank below ``p``.
+    has ``s_min > rcond * s_max`` (the second term), so ``lstsq`` would report
+    full rank, and ``kappa(A)`` near ``1e4`` at most (the first), so the
+    normal-equation error, about ``kappa^2 * eps``, is at most about 2e-8 and
+    one refinement step on the residual ``y - A coef`` brings it to the
+    ``lstsq`` level. That fit returns ``V (V'A'y / lam)`` plus the step, with
+    rank ``p``; all-zero rows fail the strict inequality. Every other fit runs
+    ``lstsq`` with the cutoff above, so rows that span less than the space
+    still give the minimum-norm solution and a rank below ``p``.
     """
     X = np.asarray(X, dtype=np.float64)
     counts = np.asarray(counts)

@@ -5,19 +5,18 @@ worst predictive variance ``max_v v' A(lam)^{-1} v`` with
 ``A(lam) = sum_x lam_x x x' / var_x``. Evaluation vectors may differ from
 the sample vectors (transductive case) but must lie in their span.
 
-No invertible map of the space changes that value, so problems are solved
-whitened: the uniform design has ``A = I``. Self-evaluating problems with one
-common variance have a known optimum (the span dimension times the variance),
-which multiplicative D-optimal updates approach. Everything else goes to one
-engine: exponentiated gradient on a mixture of the evaluation vectors, run on
-the floored design ``(1 - eta) lam + eta / n`` with ``eta = tolerance / 3``.
-Its ``A`` stays between ``eta I`` and ``n I``, so the dual bound is formed at
-every step with no condition gate; scaled by ``1 - eta`` it bounds the
-original optimum, so a design returned ``certified`` is within ``tolerance``
-of it. Pruned unfloored weights, valued like every candidate through the
-pseudo-inverse, are returned whenever they certify too, so designs stay sparse.
-A problem is whitened only when it is solved, so a problem the per-process
-memo already holds is never whitened.
+No invertible map of the space changes that value, so a problem is whitened
+when it is solved, never on a memo hit: the uniform design has ``A = I``.
+Self-evaluating problems with one common variance have a known optimum (the
+span dimension times the variance), which multiplicative D-optimal updates
+approach. Everything else goes to one engine: exponentiated gradient on a
+mixture of the evaluation vectors, run on the floored design
+``(1 - eta) lam + eta / n`` with ``eta = tolerance / 3``. Its ``A`` stays
+between ``eta I`` and ``n I``, so the dual bound is formed at every step
+with no condition gate; scaled by ``1 - eta`` it bounds the original optimum,
+so a design returned ``certified`` is within ``tolerance`` of it. Pruned
+unfloored weights, valued like every candidate through the pseudo-inverse,
+are returned whenever they certify too, so designs stay sparse.
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ class DesignProblem:
     ``variances`` are per-sample noise variances dividing each outer product
     (all ones for the unweighted problem); ``max_iters`` caps the engine's
     mixture steps. Construction checks shapes, signs and the tolerance and
-    takes the memo digest; the span of the sample vectors is checked when
-    the problem is solved (see :func:`_whiten`).
+    takes the memo digest; the solve checks the span (:func:`_whiten`).
     """
 
     sample_vectors: np.ndarray
@@ -89,21 +87,28 @@ class DesignProblem:
 
 def _whiten(X: np.ndarray, V: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample and evaluation vectors whitened on the sample span, so the
-    uniform design has ``A = I`` and singular directions never enter solves.
-
-    :func:`~hetbandit.core.gram_eigh` of the rows ``x_i / sqrt(var_i n)``
-    gives the span: the eigenvectors whose eigenvalues exceed its ``delta``.
-    Raises :class:`SpanViolation` if an evaluation vector has more than
-    ``1e-9 (1 + ||v||)`` outside it, and ``ValueError`` if the span is empty.
+    uniform design has ``A = I``. If :func:`~hetbandit.core.gram_eigh` of the
+    rows ``x_i / sqrt(var_i n)`` has ``lam_min > 2 delta``, its eigenvectors
+    over ``sqrt(lam)`` whiten ``A`` to within ``I / 2`` of ``I``. Any other
+    set, rank deficient or beyond what the Gram resolves, takes one SVD of
+    the rows, keeping singular values above ``s_max max(n, d) eps``. Raises
+    :class:`SpanViolation` if an evaluation vector has more than
+    ``1e-9 (1 + ||v||)`` outside the span, and ``ValueError`` if it is empty.
     """
-    lam, vecs, delta = gram_eigh(X * np.sqrt(1.0 / (variances * X.shape[0]))[:, None])
-    keep = lam > delta
-    if not keep.any():
-        raise ValueError("sample vectors are all zero")
-    outside = np.linalg.norm(V @ vecs[:, ~keep], axis=1)
-    if np.any(outside > 1e-9 * (1.0 + np.linalg.norm(V, axis=1))):
-        raise SpanViolation("evaluation vector outside span of sample vectors")
-    whiten = vecs[:, keep] / np.sqrt(lam[keep])
+    rows = X * np.sqrt(1.0 / (variances * X.shape[0]))[:, None]
+    lam, basis, delta = gram_eigh(rows)
+    if lam.size and lam[0] > 2.0 * delta:
+        s = np.sqrt(lam)
+    else:
+        basis, s, _ = np.linalg.svd(rows.T, full_matrices=False)
+        rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(np.float64).eps)) if s.size else 0
+        if rank == 0:
+            raise ValueError("sample vectors are all zero")
+        basis, s = basis[:, :rank], s[:rank]
+        outside = np.linalg.norm(V - (V @ basis) @ basis.T, axis=1)
+        if np.any(outside > 1e-9 * (1.0 + np.linalg.norm(V, axis=1))):
+            raise SpanViolation("evaluation vector outside span of sample vectors")
+    whiten = basis / s
     return X @ whiten, V @ whiten
 
 
@@ -141,19 +146,18 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
     the floored design ``lam_eff = (1 - eta) lam + eta / n``.
 
     For ``M = sum_m mu_m v_m v_m'`` and ``t_x = prec_x x' A^-1 M A^-1 x`` at
-    ``lam_eff``, linearizing ``phi = tr(M A^-1)`` in ``lam`` bounds the
-    floored optimum below by ``phi - (1 - eta) (max t - lam . t)``. Since
+    ``lam_eff``, linearizing ``phi = tr(M A^-1)`` in ``lam`` bounds the floored
+    optimum below by ``phi - (1 - eta) (max t - lam . t)``. Since
     ``A(lam_eff) >= (1 - eta) A(lam)``, the original optimum is at least
     ``1 - eta`` times the floored one, so ``(1 - eta)`` times that bound is a
     lower bound on it. With ``X`` whitened by :func:`_whiten`, every floored
-    ``A`` lies between ``eta I`` and ``n I`` (condition at most
-    ``3 n / tolerance``), so the bound is formed at every step with no
+    ``A`` lies between about ``eta I`` and ``n I``, so the bound needs no
     condition gate. One ``np.linalg.solve`` after each design update gives
-    ``C = A^-1 V'``; ``C`` and ``X C`` serve the next update and the bound,
-    and ``t`` is recomputed from ``X C`` when ``mu`` moves. Stops once the best
-    floored value is within ``tolerance`` of the bound, or after
-    ``max_steps`` mixture steps; returns the bound and the unfloored weights
-    of the best floored design seen.
+    ``C = A^-1 V'``; ``C`` and ``X C`` serve the next update and the bound, and
+    ``t`` is recomputed from ``X C`` when ``mu`` moves. Stops once the best
+    floored value is within ``tolerance`` of the bound, or after ``max_steps``
+    mixture steps; returns the bound and the unfloored weights of the best
+    floored design seen.
     """
     n, m = X.shape[0], V.shape[0]
     eta = tolerance / 3.0

@@ -111,20 +111,28 @@ class TestSolveDesign:
 
     def test_invariant_under_ill_conditioned_map(self):
         # The value v' A^-1 v does not change under an invertible map of the
-        # space, so neither may the solve: T squeezes one axis by 1e-4.
+        # space, so neither may the solve. The first map squeezes one axis of
+        # a transductive problem by 1e-4; the others squeeze one axis of a
+        # self-evaluating problem by 1e-8, beyond what the Gram resolves, so
+        # its whitening takes the SVD.
         rng = np.random.default_rng(31)
         arms = rng.standard_normal((8, 3))
         evals = rng.standard_normal((4, 3))
         variances = rng.uniform(0.5, 2.0, size=8)
         q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        t = q @ np.diag([1.0, 1e-2, 1e-4])
-        base = _solve_design(DesignProblem(arms, evals, variances=variances,
-                                           tolerance=1e-3, max_iters=500))
-        mapped = _solve_design(DesignProblem(arms @ t, evals @ t, variances=variances,
-                                             tolerance=1e-3, max_iters=500))
-        assert base.certified and mapped.certified
-        np.testing.assert_allclose(mapped.weights, base.weights, rtol=0, atol=1e-12)
-        assert mapped.value == pytest.approx(base.value, rel=1e-12)
+        cases = ((evals, variances, q @ np.diag([1.0, 1e-2, 1e-4])),
+                 (arms, None, np.diag([1.0, 1.0, 1e-8])),
+                 (arms, variances, q @ np.diag([1.0, 1e-4, 1e-8])))
+        for evals, variances, t in cases:
+            base = _solve_design(DesignProblem(arms, evals, variances=variances,
+                                               tolerance=1e-3, max_iters=500))
+            mapped = _solve_design(DesignProblem(arms @ t, evals @ t, variances=variances,
+                                                 tolerance=1e-3, max_iters=500))
+            assert base.certified and mapped.certified
+            np.testing.assert_allclose(mapped.weights, base.weights, rtol=0, atol=1e-12)
+            assert mapped.value == pytest.approx(base.value, rel=1e-12)
+        squeezed = np.array([[1.0, 0.0], [0.0, 1e-8]])
+        assert _solve_design(DesignProblem(squeezed, squeezed)).value == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.uncertified
     def test_non_certified_flag_on_iteration_cap(self):
@@ -561,9 +569,9 @@ class TestSolveDesignMemo:
         assert len(empty_memo) <= 4
 
     def test_seen_problem_constructed_without_svd(self, empty_memo, monkeypatch):
-        # A memo hit factors nothing. A fresh solve, an example1 round and the
-        # lifted varest problem, and a fit on the lifts take no SVD: every
-        # Gram spectrum comes from one eigh.
+        # A memo hit factors nothing. Full-rank sample sets take no SVD: a
+        # fresh solve, an example1 round and the lifted varest problem, and a
+        # fit on the lifts read every Gram spectrum from one eigh.
         lifted = lift_arms(build_preset(ExperimentConfig("varest")).instance.arms)
         calls = {"eigh": 0, "svd": 0}
         for name in calls:
