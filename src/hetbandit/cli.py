@@ -5,6 +5,11 @@ Subcommands:
   design      write the oracle design weights per arm for a preset
   complexity  print the complexity functionals and sample lower bound
 
+Each setting is read from its flag, else from the ``--config`` file, else
+from the default of :class:`~hetbandit.presets.ExperimentConfig`. The other
+file keys, ``--kappa`` and each ``--set`` override a preset parameter or a run
+setting; ``ExperimentConfig`` rejects any other name.
+
 Exit codes: 0 success, 2 configuration error, 3 run failure.
 """
 
@@ -20,81 +25,49 @@ from .presets import ConfigError, ExperimentConfig, build_preset
 from .runner import emit_design_table, run_suite
 
 
-def _parse_value(text: str):
+# ExperimentConfig field -> its config-file keys, the first also its flag.
+CONFIG_KEYS = {"preset": ("preset",), "replications": ("reps", "replications"),
+               "base_seed": ("seed", "base_seed"), "delta": ("delta",), "jobs": ("jobs",),
+               "output_path": ("out", "output_path"), "algorithms": ("algorithms",)}
+
+
+def _key_value(text: str, where: str) -> tuple[str, object]:
+    """``key = value`` with the value read as a Python literal, else as text."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key = value, got {text!r}")
+    key, value = (part.strip() for part in text.split("=", 1))
     try:
-        return ast.literal_eval(text)
+        return key, ast.literal_eval(value)
     except (ValueError, SyntaxError):
-        return text
+        return key, value
 
 
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` file; '#' starts a comment, values are literals."""
-    out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, value = line.split("=", 1)
-                out[key.strip()] = _parse_value(value.strip())
+            lines = [(lineno, line.split("#", 1)[0].strip()) for lineno, line in enumerate(fh, 1)]
     except OSError as exc:
         raise ConfigError(f"could not read config file {path}: {exc}") from exc
-    return out
-
-
-def _apply_set_args(overrides: dict, pairs: list[str]):
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        overrides[key.strip()] = _parse_value(value.strip())
+    return dict(_key_value(line, f"{path}:{lineno}") for lineno, line in lines if line)
 
 
 def _build_experiment_config(args) -> ExperimentConfig:
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    overrides = dict(file_cfg.pop("overrides", {})) if isinstance(file_cfg.get("overrides"), dict) else {}
-    known = {"preset", "reps", "replications", "seed", "base_seed", "delta", "out",
-             "output_path", "jobs", "algorithms"}
-    for key in list(file_cfg):
-        if key not in known:
-            overrides[key] = file_cfg.pop(key)
-
-    preset = args.preset or file_cfg.get("preset")
-    if not preset:
+    """Flags over config-file keys; ``--kappa`` and ``--set`` over file overrides."""
+    overrides = parse_config_file(args.config) if args.config else {}
+    values = {}
+    for name, keys in CONFIG_KEYS.items():
+        for key in reversed(keys):
+            if key in overrides:
+                values[name] = overrides.pop(key)
+        if getattr(args, keys[0], None) is not None:
+            values[name] = getattr(args, keys[0])
+    if "preset" not in values:
         raise ConfigError("a preset is required (--preset or config file)")
-    reps = args.reps if args.reps is not None else file_cfg.get("reps", file_cfg.get("replications", 32))
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", file_cfg.get("base_seed", 0))
-    delta = args.delta if args.delta is not None else file_cfg.get("delta", 0.05)
-    out = args.out if args.out is not None else file_cfg.get("out", file_cfg.get("output_path"))
-    jobs = args.jobs if args.jobs is not None else file_cfg.get("jobs", 1)
-    algorithms = None
-    raw_algos = getattr(args, "algorithms", None) or file_cfg.get("algorithms")
-    if raw_algos:
-        if isinstance(raw_algos, str):
-            algorithms = tuple(a.strip() for a in raw_algos.split(",") if a.strip())
-        else:
-            algorithms = tuple(raw_algos)
-
-    if getattr(args, "kappa", None) is not None:
+    if args.kappa is not None:
         overrides["kappa"] = args.kappa
-    _apply_set_args(overrides, args.set or [])
-
-    try:
-        return ExperimentConfig(
-            preset=str(preset),
-            replications=int(reps),
-            base_seed=int(seed),
-            delta=float(delta),
-            overrides=overrides,
-            output_path=out,
-            jobs=int(jobs),
-            algorithms=algorithms,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from exc
+    overrides.update(_key_value(pair, "--set") for pair in args.set or [])
+    return ExperimentConfig(**values, overrides=overrides)
 
 
 def _add_common_args(sub):
@@ -133,19 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    config = _build_experiment_config(args)
-    if not config.output_path:
-        raise ConfigError("run needs an output path (--out)")
+def _cmd_run(args, config: ExperimentConfig) -> int:
     _rows, any_failed = run_suite(config)
     print(f"wrote {config.output_path}")
     return 3 if any_failed else 0
 
 
-def _cmd_design(args) -> int:
-    config = _build_experiment_config(args)
-    if not config.output_path:
-        raise ConfigError("design needs an output path (--out)")
+def _cmd_design(args, config: ExperimentConfig) -> int:
     bundle = build_preset(config)
     sources = ("truth", "max") if args.sigma_source == "both" else (args.sigma_source,)
     emit_design_table(bundle, config.output_path, sigma_sources=sources)
@@ -153,8 +120,7 @@ def _cmd_design(args) -> int:
     return 0
 
 
-def _cmd_complexity(args) -> int:
-    config = _build_experiment_config(args)
+def _cmd_complexity(args, config: ExperimentConfig) -> int:
     bundle = build_preset(config)
     if not isinstance(bundle.task, IdentTask):
         raise ConfigError("complexity needs an identification preset")
@@ -176,7 +142,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     handlers = {"run": _cmd_run, "design": _cmd_design, "complexity": _cmd_complexity}
     try:
-        return handlers[args.command](args)
+        config = _build_experiment_config(args)
+        if args.command != "complexity" and not config.output_path:
+            raise ConfigError(f"{args.command} needs an output path (--out)")
+        return handlers[args.command](args, config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,7 @@ from .core import (
     DimensionMismatch,
     SpanViolation,
     _as_matrix,
+    _frozen,
     gram_eigh,
     quad_forms,
     solve_psd,  # not called here; bench/probe.py counts calls through this name
@@ -47,14 +48,15 @@ INNER_STEPS = 5
 logger = logging.getLogger("hetbandit")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignProblem:
     """A minimax design problem over a finite sample set.
 
     ``variances`` are per-sample noise variances dividing each outer product
     (all ones for the unweighted problem); ``max_iters`` caps the engine's
-    mixture steps. Construction checks shapes, signs and the tolerance and
-    takes the memo digest; the solve checks the span (:func:`_whiten`).
+    mixture steps. Construction checks shapes, signs and the tolerance, keeps
+    read-only copies of the arrays and takes the memo digest; the solve
+    checks the span (:func:`_whiten`).
     """
 
     sample_vectors: np.ndarray
@@ -64,25 +66,27 @@ class DesignProblem:
     max_iters: int = 20_000
 
     def __post_init__(self):
-        X = _as_matrix(self.sample_vectors, "sample_vectors")
-        V = _as_matrix(self.eval_vectors, "eval_vectors")
+        X = _frozen(_as_matrix(self.sample_vectors, "sample_vectors"))
+        # Eval vectors given as the sample array itself share its frozen copy.
+        V = X if self.eval_vectors is self.sample_vectors else _frozen(
+            _as_matrix(self.eval_vectors, "eval_vectors"))
         if V.shape[1] != X.shape[1]:
             raise DimensionMismatch("sample and eval vectors must share a dimension")
         if self.variances is None:
-            w = np.ones(X.shape[0])
+            w = _frozen(np.ones(X.shape[0]))
         else:
-            w = np.asarray(self.variances, dtype=np.float64)
+            w = _frozen(self.variances)
             if w.shape != (X.shape[0],):
                 raise DimensionMismatch("one variance per sample vector required")
             if np.any(w <= 0):
                 raise ValueError("variances must be strictly positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        self.sample_vectors = X
-        self.eval_vectors = V
-        self.variances = w
-        self._self_eval = X.shape == V.shape and np.array_equal(X, V)
-        self._digest = _problem_digest(self)
+        object.__setattr__(self, "sample_vectors", X)
+        object.__setattr__(self, "eval_vectors", V)
+        object.__setattr__(self, "variances", w)
+        object.__setattr__(self, "_self_eval", V is X or (X.shape == V.shape and np.array_equal(X, V)))
+        object.__setattr__(self, "_digest", _problem_digest(self))
 
 
 def _whiten(X: np.ndarray, V: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,13 +8,13 @@ redraws its arm set per replication seed; the others are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
 from .core import HetBanditError, HeteroInstance
-from .ident import IdentTask
+from .ident import IdentTask, RunConfig
 
 
 class ConfigError(HetBanditError):
@@ -26,6 +26,11 @@ class VarEstTask:
     """Variance-estimation comparison on a budget ladder."""
 
     budgets: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
+        if any(b < 2 for b in self.budgets):
+            raise ConfigError("budgets must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,10 @@ class PresetBundle:
 
 @dataclass
 class ExperimentConfig:
+    """A preset, its overrides and the replication settings. Construction
+    coerces each field to its type and raises :class:`ConfigError` on a bad
+    value or on an override that is neither a preset parameter nor a run setting."""
+
     preset: str
     replications: int = 32
     base_seed: int = 0
@@ -51,6 +60,19 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        try:
+            self.preset = canonical_preset(str(self.preset))
+            self.replications = int(self.replications)
+            self.base_seed = int(self.base_seed)
+            self.delta = float(self.delta)
+            self.jobs = int(self.jobs)
+            if self.output_path is not None:
+                self.output_path = str(self.output_path)
+            if isinstance(self.algorithms, str):
+                self.algorithms = [a.strip() for a in self.algorithms.split(",") if a.strip()]
+            self.algorithms = tuple(self.algorithms) if self.algorithms else None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad configuration value: {exc}") from exc
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if not 0 < self.delta < 1:
@@ -59,20 +81,15 @@ class ExperimentConfig:
             raise ConfigError("jobs must be at least 1")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be nonnegative")
-        self.preset = canonical_preset(self.preset)
+        # Every preset also accepts the run settings.
+        known = {*PRESET_DEFAULTS[self.preset], *(f.name for f in fields(RunConfig))}
+        unknown = sorted(map(str, set(self.overrides) - known))
+        if unknown:
+            raise ConfigError(f"unknown setting {', '.join(unknown)} for preset {self.preset}; "
+                              f"it accepts {', '.join(sorted(known))}")
 
 
-_PRESET_ALIASES = {
-    "intro": "intro",
-    "introkappa": "intro",
-    "example1": "example1",
-    "example2": "example2",
-    "multivariate": "multivariate",
-    "multivariatetest": "multivariate",
-    "varest": "varest",
-    "varestcompare": "varest",
-    "custom": "custom",
-}
+_PRESET_ALIASES = {"introkappa": "intro", "multivariatetest": "multivariate", "varestcompare": "varest"}
 
 PRESET_DEFAULTS: dict[str, dict[str, Any]] = {
     "intro": {"kappa": 20.0},
@@ -87,8 +104,9 @@ PRESET_DEFAULTS: dict[str, dict[str, Any]] = {
 
 def canonical_preset(name: str) -> str:
     """Preset name for ``name``, ignoring case, ``-`` and ``_``."""
-    key = _PRESET_ALIASES.get(name.strip().lower().replace("-", "").replace("_", ""))
-    if key is None:
+    key = name.strip().lower().replace("-", "").replace("_", "")
+    key = _PRESET_ALIASES.get(key, key)
+    if key not in PRESET_DEFAULTS:
         raise ConfigError(f"unknown preset {name!r}")
     return key
 
@@ -99,22 +117,20 @@ def _basis(d: int, i: int) -> np.ndarray:
     return e
 
 
-def _build_intro(params, delta) -> PresetBundle:
+def _build_intro(params, seed):
     kappa = float(params["kappa"])
     if kappa < 1:
         raise ConfigError("kappa must be at least 1")
     arms = np.array([[1.0, 0.0], [0.0, 1.0], [math.cos(0.5), math.sin(0.5)]])
     sigma = np.diag([1.0, kappa])
     instance = HeteroInstance(arms, arms, np.array([1.0, 0.0]), sigma, 1.0, kappa)
-    task = IdentTask(objective="bai", delta=delta, instance=instance)
     # The motivating allocation story treats the bent arm as quiet even when
     # the axis arm is loud; the quadratic-form model cannot decouple them, so
     # design and complexity computations use these per-arm values directly.
-    variances = np.array([1.0, kappa, 1.0])
-    return PresetBundle("intro", instance, task, params, variances=variances)
+    return instance, np.array([1.0, kappa, 1.0])
 
 
-def _build_example1(params, delta) -> PresetBundle:
+def _build_example1(params, seed):
     d = int(params["d"])
     omega = float(params["omega"])
     q = float(params["q"])
@@ -133,11 +149,10 @@ def _build_example1(params, delta) -> PresetBundle:
     ]
     arms = np.array(vectors)
     instance = HeteroInstance.from_truth(arms, arms, _basis(d, 0), np.eye(d))
-    task = IdentTask(objective="bai", delta=delta, instance=instance)
-    return PresetBundle("example1", instance, task, params)
+    return instance, None
 
 
-def _build_example2(params, delta) -> PresetBundle:
+def _build_example2(params, seed):
     d = int(params["d"])
     omega = float(params["omega"])
     alpha_sq = float(params["alpha_sq"])
@@ -157,11 +172,10 @@ def _build_example2(params, delta) -> PresetBundle:
     diag = np.full(d, alpha_sq)
     diag[1:3] = beta_sq
     instance = HeteroInstance.from_truth(arms, arms, _basis(d, 0), np.diag(diag))
-    task = IdentTask(objective="bai", delta=delta, instance=instance)
-    return PresetBundle("example2", instance, task, params)
+    return instance, None
 
 
-def _build_multivariate(params, delta) -> PresetBundle:
+def _build_multivariate(params, seed):
     # Three content dimensions, two variations each: feature layout is
     # [bias, pick_1, pick_2, pick_3, pick_1*pick_2, pick_1*pick_3, pick_2*pick_3].
     d = 7
@@ -173,8 +187,7 @@ def _build_multivariate(params, delta) -> PresetBundle:
     theta = np.array([0.0, 0.01, 0.015, 0.02, -0.1, -0.1, -0.1])
     sigma = np.diag([0.3, 0.7] + [1e-3] * (d - 2))
     instance = HeteroInstance.from_truth(arms, arms, theta, sigma)
-    task = IdentTask(objective="bai", delta=delta, instance=instance)
-    return PresetBundle("multivariate", instance, task, params)
+    return instance, None
 
 
 def _sample_sphere(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
@@ -200,16 +213,8 @@ def build_varest_instance(params, seed: int) -> HeteroInstance:
     return HeteroInstance.from_truth(arms, arms, np.ones(d), sigma)
 
 
-def _build_varest(params, delta, seed: int) -> PresetBundle:
-    budgets = tuple(int(b) for b in params["budgets"])
-    if any(b < 2 for b in budgets):
-        raise ConfigError("budgets must be at least 2")
-    instance = build_varest_instance(params, seed)
-    return PresetBundle("varest", instance, VarEstTask(budgets=budgets), params)
-
-
-def _build_custom(params, delta) -> PresetBundle:
-    path = params.get("instance_file")
+def _build_custom(params, seed):
+    path = params["instance_file"]
     if not path:
         raise ConfigError("custom preset needs instance_file=<path to .npz>")
     try:
@@ -220,36 +225,26 @@ def _build_custom(params, delta) -> PresetBundle:
         sigma = data["sigma_star"]
     except Exception as exc:
         raise ConfigError(f"could not load custom instance from {path}: {exc}") from exc
-    instance = HeteroInstance.from_truth(arms, targets, theta, sigma)
-    objective = str(params.get("objective", "bai"))
-    task = IdentTask(
-        objective=objective,
-        delta=delta,
-        instance=instance,
-        alpha=float(params.get("alpha", 0.0)),
-    )
-    return PresetBundle("custom", instance, task, params)
+    return HeteroInstance.from_truth(arms, targets, theta, sigma), None
+
+
+# Builders map (params, arm seed) to the instance and the per-arm variances
+# that design and complexity computations use (None: the model's values).
+_BUILDERS = {"intro": _build_intro, "example1": _build_example1, "example2": _build_example2,
+             "multivariate": _build_multivariate, "custom": _build_custom,
+             "varest": lambda params, seed: (build_varest_instance(params, seed), None)}
 
 
 def build_preset(config: ExperimentConfig, seed: int | None = None) -> PresetBundle:
     """Materialize a preset; ``seed`` selects the arm draw for random presets."""
     name = config.preset
     params = {**PRESET_DEFAULTS[name], **config.overrides}
+    # Only custom may set the task's objective and threshold; its defaults hold elsewhere.
+    task_params = {**PRESET_DEFAULTS["custom"], **params}
     try:
-        if name == "intro":
-            return _build_intro(params, config.delta)
-        if name == "example1":
-            return _build_example1(params, config.delta)
-        if name == "example2":
-            return _build_example2(params, config.delta)
-        if name == "multivariate":
-            return _build_multivariate(params, config.delta)
-        if name == "varest":
-            return _build_varest(params, config.delta, config.base_seed if seed is None else seed)
-        if name == "custom":
-            return _build_custom(params, config.delta)
-    except ConfigError:
-        raise
+        instance, variances = _BUILDERS[name](params, config.base_seed if seed is None else seed)
+        task = VarEstTask(params["budgets"]) if name == "varest" else IdentTask(
+            str(task_params["objective"]), config.delta, instance, float(task_params["alpha"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for preset {name}: {exc}") from exc
-    raise ConfigError(f"unknown preset {name!r}")
+    return PresetBundle(name, instance, task, params, variances)

@@ -8,9 +8,10 @@ CSV once. Fixed-arm presets (all but ``varest``) are built once per suite.
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
+import functools
 import math
 import time
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +25,7 @@ from .varest import head_estimate, mae, separate_arm_estimate, uniform_estimate
 SCHEMA_VERSION = 1
 CSV_HEADER = "preset,algorithm,seed,metric_name,metric_value,correct,rounds,burn_in,wall_ms"
 DESIGN_HEADER = "preset,sigma_source,arm_index,weight,sigma_sq"
+DESIGN_FW_TOL = 1e-4
 
 # Experiment drivers default to a practical burn-in constant; the theoretical
 # one is far too conservative to simulate and stays the library default.
@@ -63,13 +65,10 @@ def _row(fields) -> str:
 
 
 def _run_config(config: ExperimentConfig) -> RunConfig:
-    o = config.overrides
+    """The run settings among the overrides, each coerced to its default's type."""
+    o = {"c_prime": PRACTICAL_C_PRIME, **config.overrides}
     try:
-        return RunConfig(
-            c_prime=float(o.get("c_prime", PRACTICAL_C_PRIME)),
-            fw_tol=float(o.get("fw_tol", 1e-2)),
-            max_rounds=int(o.get("max_rounds", 40)),
-        )
+        return RunConfig(**{f.name: type(f.default)(o[f.name]) for f in fields(RunConfig) if f.name in o})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run setting: {exc}") from exc
 
@@ -78,7 +77,7 @@ def _ident_fields(trace):
     return "total_pulls", float(trace.total_pulls), trace.correct, len(trace.rounds), trace.burn_in_pulls
 
 
-def _cells(config: ExperimentConfig, rep: int, bundle: PresetBundle) -> list:
+def _cells(config: ExperimentConfig, rep: int, bundle: PresetBundle, run_cfg: RunConfig) -> list:
     """``(algorithm, spawn key, run)`` per cell of replication ``rep``.
 
     ``run(env)`` returns the metric name, value, correct, rounds and burn-in
@@ -86,7 +85,7 @@ def _cells(config: ExperimentConfig, rep: int, bundle: PresetBundle) -> list:
     when they are called, so a patched name is the one that runs. The order
     of ``runs`` is the default algorithm order.
     """
-    task, inst, run_cfg = bundle.task, bundle.instance, _run_config(config)
+    task, inst = bundle.task, bundle.instance
     if isinstance(task, VarEstTask):
         runs = {
             "head": lambda env, gamma: head_estimate(inst, env, gamma),
@@ -117,7 +116,8 @@ def _cells(config: ExperimentConfig, rep: int, bundle: PresetBundle) -> list:
     return cells
 
 
-def _run_one_seed(config: ExperimentConfig, rep: int, bundle: PresetBundle | None = None) -> list[Record]:
+def _run_one_seed(config: ExperimentConfig, run_cfg: RunConfig, bundle: PresetBundle | None,
+                  rep: int) -> list[Record]:
     """Records of replication ``rep``'s cells, in a fixed algorithm order.
     ``bundle`` is the suite's shared preset; None builds the replication's own."""
     if bundle is None:
@@ -126,7 +126,7 @@ def _run_one_seed(config: ExperimentConfig, rep: int, bundle: PresetBundle | Non
         bundle = build_preset(config, seed=int(seed))
     inst = bundle.instance
     records = []
-    for algo, spawn_key, run in _cells(config, rep, bundle):
+    for algo, spawn_key, run in _cells(config, rep, bundle, run_cfg):
         env = Environment.from_instance(
             inst, seed=np.random.SeedSequence(config.base_seed, spawn_key=spawn_key)
         )
@@ -167,13 +167,15 @@ def run_suite(config: ExperimentConfig) -> tuple[list[str], bool]:
     unrounded per-seed values. A fixed-arm preset is built once here and
     shared by every replication. Writes ``config.output_path`` when set.
     """
+    run_cfg = _run_config(config)
     bundle = None if config.preset == "varest" else build_preset(config)
+    run_one_seed = functools.partial(_run_one_seed, config, run_cfg, bundle)
     reps = range(config.replications)
     if config.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            blocks = list(pool.map(_run_one_seed, itertools.repeat(config), reps, itertools.repeat(bundle)))
+            blocks = list(pool.map(run_one_seed, reps))
     else:
-        blocks = [_run_one_seed(config, rep, bundle) for rep in reps]
+        blocks = [run_one_seed(rep) for rep in reps]
 
     records = [record for block in blocks for record in block]
     any_failed = any(r.metric_name.startswith("error:") for r in records)
@@ -196,12 +198,12 @@ def write_csv(path: str, rows: list[str]):
     _write(path, CSV_HEADER, rows)
 
 
-def design_table_rows(bundle: PresetBundle, sigma_sources=("truth", "max"), fw_tol: float = 1e-4) -> list[str]:
+def design_table_rows(bundle: PresetBundle, sigma_sources=("truth", "max")) -> list[str]:
     """Oracle design weights per arm, one row per (sigma source, arm)."""
     task = bundle.task
     if not isinstance(task, IdentTask):
         raise ConfigError("design tables need an identification preset")
-    report = psi_star(task, variances=bundle.variances, fw_tol=fw_tol)
+    report = psi_star(task, variances=bundle.variances, fw_tol=DESIGN_FW_TOL)
     variances = bundle.variances if bundle.variances is not None else bundle.instance.arm_variances()
     rows = []
     for source in sigma_sources:

@@ -8,7 +8,7 @@ import pytest
 import hetbandit
 import hetbandit.runner as runner_mod
 from hetbandit import Environment, ExperimentConfig, build_preset, run_suite
-from hetbandit.cli import main, parse_config_file
+from hetbandit.cli import _build_experiment_config, build_parser, main, parse_config_file
 from hetbandit.presets import PRESET_DEFAULTS, ConfigError
 from hetbandit.runner import CSV_HEADER, design_table_rows, emit_design_table
 
@@ -290,6 +290,46 @@ class TestCliMain:
         cfg.write_text("preset = example2\nbase_seed = -1\n")
         assert main(["run", "--config", str(cfg), "--reps", "1", "--out", out]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config_text", [
+        (["complexity", "--preset", "example2", "--set", "omgea=0.3"], None),
+        (["complexity", "--config", "{cfg}"], "preset = example2\nrepz = 3\n"),
+        (["complexity", "--kappa", "5", "--preset", "example2"], None),
+        (["run", "--preset", "example2", "--set", "fw_tl=0.5", "--out", "{out}"], None),
+    ], ids=["set", "config-file", "kappa-off-intro", "run-setting"])
+    def test_unknown_setting_exits_2(self, tmp_path, capsys, argv, config_text):
+        cfg = tmp_path / "run.cfg"
+        if config_text is not None:
+            cfg.write_text(config_text)
+        argv = [a.format(cfg=cfg, out=tmp_path / "res.csv") for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "unknown setting" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "res.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "design", "complexity"])
+    def test_flags_add_no_defaults(self, command):
+        args = build_parser().parse_args([command, "--preset", "example2"])
+        assert _build_experiment_config(args) == ExperimentConfig("example2")
+
+    def test_config_file_keys_and_flag_precedence(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = example2\nreplications = 3\nbase_seed = 4\ndelta = 0.1\n"
+                       "output_path = 'a.csv'\njobs = 2\nalgorithms = 'rage,hrage'\nd = 4\n")
+        args = build_parser().parse_args(["run", "--config", str(cfg)])
+        assert _build_experiment_config(args) == ExperimentConfig(
+            "example2", replications=3, base_seed=4, delta=0.1, output_path="a.csv", jobs=2,
+            algorithms=("rage", "hrage"), overrides={"d": 4})
+        # Flags win over the short file keys, and --set over --kappa.
+        cfg.write_text("preset = example2\nreps = 3\nseed = 4\nout = 'a.csv'\nkappa = 2\n")
+        args = build_parser().parse_args([
+            "run", "--config", str(cfg), "--preset", "intro", "--reps", "5", "--seed", "6", "--delta", "0.2",
+            "--out", "b.csv", "--jobs", "1", "--algorithms", "rage", "--kappa", "3", "--set", "kappa=4",
+        ])
+        assert _build_experiment_config(args) == ExperimentConfig(
+            "intro", replications=5, base_seed=6, delta=0.2, output_path="b.csv", jobs=1,
+            algorithms=("rage",), overrides={"kappa": 4})
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("setting", [

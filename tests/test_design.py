@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import logging
 import math
@@ -630,6 +631,38 @@ class TestSolveDesignMemo:
         del problem
         gc.collect()
         assert all(ref() is None for ref in refs)
+
+    def test_caller_arrays_changed_after_construction(self, empty_memo):
+        # The problem holds read-only copies: changing the caller's arrays
+        # afterwards changes neither the problem nor the design it solves to.
+        rng = np.random.default_rng(31)
+        arms, evals, variances = rng.standard_normal((8, 3)), rng.standard_normal((4, 3)), np.ones(8)
+        problem = DesignProblem(arms, evals, variances=variances)
+        first = solve_design(problem)
+        arms[2, 2], evals[0, 0], variances[1] = 10.0, 5.0, 4.0
+        assert solve_design(problem) is first
+        assert _solve_design(problem).value == first.value
+        changed = solve_design(DesignProblem(arms, evals, variances=variances))
+        assert changed.value != pytest.approx(first.value)
+        for array in (problem.sample_vectors, problem.eval_vectors, problem.variances):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            problem.sample_vectors[2, 2] = 10.0
+
+    def test_fields_not_reassignable(self, empty_memo):
+        problem = memo_problem()
+        first = solve_design(problem)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.variances = np.full(8, 4.0)
+        assert np.array_equal(problem.variances, np.ones(8))
+        assert solve_design(problem) is first
+
+    def test_self_evaluating_problem_keeps_one_copy(self):
+        arms = np.random.default_rng(5).standard_normal((6, 3))
+        problem = DesignProblem(arms, arms)
+        assert problem.eval_vectors is problem.sample_vectors
+        assert problem.sample_vectors is not arms
+        assert np.array_equal(problem.sample_vectors, arms)
 
 
 def realized_value(schedule, arms, evals, variances):

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hetbandit import ExperimentConfig, IdentTask, build_preset, gap_delta, psi_star
-from hetbandit.presets import ConfigError, VarEstTask, build_varest_instance
+from hetbandit import ExperimentConfig, IdentTask, RunConfig, build_preset, gap_delta, psi_star
+from hetbandit.presets import PRESET_DEFAULTS, ConfigError, VarEstTask, build_varest_instance
 
 
 def config(preset, **kw):
@@ -151,3 +152,30 @@ class TestConfigPlumbing:
     def test_custom_preset_needs_file(self):
         with pytest.raises(ConfigError):
             build_preset(config("custom"))
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_DEFAULTS))
+    def test_override_keys(self, preset):
+        # A preset accepts its own parameters and the run settings, nothing else.
+        run_settings = [f.name for f in dataclasses.fields(RunConfig)]
+        assert sorted(run_settings) == ["c_prime", "fw_tol", "max_rounds"]
+        for key, value in [*PRESET_DEFAULTS[preset].items(), *zip(run_settings, (1.0, 1e-2, 40))]:
+            assert ExperimentConfig(preset, overrides={key: value}).overrides == {key: value}
+        others = {key for defaults in PRESET_DEFAULTS.values() for key in defaults}
+        for key in ["omgea", "fw_tl", "repz", *sorted(others - set(PRESET_DEFAULTS[preset]))]:
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig(preset, overrides={key: 1})
+
+    def test_fields_coerced(self):
+        cfg = ExperimentConfig(" Example-2 ", replications="3", base_seed=2.0, delta="0.1",
+                               jobs="2", output_path=None, algorithms="rage, hrage,")
+        assert (cfg.preset, cfg.replications, cfg.base_seed, cfg.delta, cfg.jobs) == ("example2", 3, 2, 0.1, 2)
+        assert cfg.algorithms == ("rage", "hrage")
+        assert ExperimentConfig("example2", algorithms=["rage"]).algorithms == ("rage",)
+        assert ExperimentConfig("example2", algorithms=()).algorithms is None
+
+    @pytest.mark.parametrize("field, value", [
+        ("replications", "x"), ("base_seed", None), ("delta", "small"), ("jobs", [2]), ("algorithms", 5),
+    ])
+    def test_bad_field_type_is_a_config_error(self, field, value):
+        with pytest.raises(ConfigError):
+            ExperimentConfig("example2", **{field: value})
