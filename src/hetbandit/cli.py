@@ -8,7 +8,11 @@ Subcommands:
 Each setting is read from its flag, else from the ``--config`` file, else
 from the default of :class:`~hetbandit.presets.ExperimentConfig`. The other
 file keys, ``--kappa`` and each ``--set`` override a preset parameter or a run
-setting; ``ExperimentConfig`` rejects any other name.
+setting. ``ExperimentConfig`` rejects a setting that the command does not
+read: the run settings (``c_prime``, ``fw_tol``, ``max_rounds``) belong to
+``run`` on an identification preset, and ``algorithms`` to ``run`` alone.
+``design``, ``complexity`` and the ``varest`` estimators solve at fixed
+tolerances.
 
 Exit codes: 0 success, 2 configuration error, 3 run failure.
 """
@@ -21,7 +25,7 @@ import sys
 
 from .core import HetBanditError
 from .ident import IdentTask, psi_star
-from .presets import ConfigError, ExperimentConfig, build_preset
+from .presets import COMMANDS, ConfigError, ExperimentConfig, build_preset
 from .runner import emit_design_table, run_suite
 
 
@@ -67,7 +71,7 @@ def _build_experiment_config(args) -> ExperimentConfig:
     if args.kappa is not None:
         overrides["kappa"] = args.kappa
     overrides.update(_key_value(pair, "--set") for pair in args.set or [])
-    return ExperimentConfig(**values, overrides=overrides)
+    return ExperimentConfig(**values, overrides=overrides, command=args.command)
 
 
 def _add_common_args(sub):
@@ -78,7 +82,7 @@ def _add_common_args(sub):
     sub.add_argument("--delta", type=float, default=None, help="confidence level")
     sub.add_argument("--jobs", type=int, default=None, help="parallel workers")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
-                     help="override a preset parameter (repeatable)")
+                     help="override a preset parameter or a run setting (repeatable)")
     sub.add_argument("--out", default=None, help="output CSV path")
     sub.add_argument("--kappa", type=float, default=None,
                      help="shortcut for --set kappa=... (intro preset)")
@@ -90,19 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Variance-aware pure-exploration linear bandit experiments.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    run_p = subparsers.add_parser("run", help="run a preset over many seeds")
-    _add_common_args(run_p)
-    run_p.add_argument("--algorithms", default=None,
-                       help="comma-separated subset of algorithms to run")
-
-    design_p = subparsers.add_parser("design", help="emit oracle design weights")
-    _add_common_args(design_p)
-    design_p.add_argument("--sigma-source", default="both",
-                          choices=["truth", "max", "both"])
-
-    cx_p = subparsers.add_parser("complexity", help="print complexity functionals")
-    _add_common_args(cx_p)
+    subs = {}
+    for command, help_ in zip(COMMANDS, ("run a preset over many seeds", "emit oracle design weights",
+                                         "print complexity functionals"), strict=True):
+        subs[command] = subparsers.add_parser(command, help=help_)
+        _add_common_args(subs[command])
+    subs["run"].add_argument("--algorithms", default=None,
+                             help="comma-separated subset of algorithms to run")
+    subs["design"].add_argument("--sigma-source", default="both", choices=["truth", "max", "both"])
     return parser
 
 
@@ -140,7 +139,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handlers = {"run": _cmd_run, "design": _cmd_design, "complexity": _cmd_complexity}
+    handlers = dict(zip(COMMANDS, (_cmd_run, _cmd_design, _cmd_complexity), strict=True))
     try:
         config = _build_experiment_config(args)
         if args.command != "complexity" and not config.output_path:

@@ -17,7 +17,7 @@ from .core import DegenerateGap, Design, DimensionMismatch, HeteroInstance, fit_
 from .core import solve_psd  # not called here; bench/probe.py counts calls through this name
 from .design import DesignProblem, round_design, solve_design
 from .env import Environment
-from .varest import DEFAULT_C_PRIME, head_budget_for_half, head_estimate
+from .varest import DEFAULT_C_PRIME, DEFAULT_FW_TOL, head_budget_for_half, head_estimate
 
 OBJECTIVES = ("bai", "ls")
 
@@ -110,7 +110,7 @@ class RunConfig:
     so the design tolerance only affects sample counts, not correctness."""
 
     c_prime: float = DEFAULT_C_PRIME
-    fw_tol: float = 1e-2
+    fw_tol: float = DEFAULT_FW_TOL
     max_rounds: int = 40
 
     def __post_init__(self):

@@ -7,6 +7,7 @@ redraws its arm set per replication seed; the others are deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -38,17 +39,41 @@ class PresetBundle:
     name: str
     instance: HeteroInstance
     task: IdentTask | VarEstTask
-    params: dict[str, Any]
     # Per-arm variances for design/complexity computations when they differ
     # from the quadratic-form model values (None means use the model).
     variances: np.ndarray | None = None
 
 
-@dataclass
+COMMANDS = ("run", "design", "complexity")
+# Each task's algorithms in canonical order. A cell's noise stream is numbered
+# by its algorithm's place here, so it does not depend on which others run.
+IDENT_ALGORITHMS = ("hrage", "rage", "oracle-het", "oracle-hom")
+VAREST_ALGORITHMS = ("head", "uniform", "separate_arm")
+RUN_SETTINGS = tuple(f.name for f in fields(RunConfig))
+# Experiment drivers default to a practical burn-in constant; the theoretical
+# one is far too conservative to simulate and stays the library default.
+PRACTICAL_C_PRIME = 1.0
+
+
+def _as(kind, value):
+    """``value`` as ``kind``; an int must be integral, so 3.0 passes and 2.5 does not."""
+    out = kind(value)
+    if kind is int and float(value) != out:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A preset, its overrides and the replication settings. Construction
-    coerces each field to its type and raises :class:`ConfigError` on a bad
-    value or on an override that is neither a preset parameter nor a run setting."""
+    """A preset, its overrides and the replication settings of one command.
+
+    Construction coerces each field to its type, puts ``algorithms`` in the
+    task's canonical order (all of them by default) and builds ``run_config``
+    from the run settings. It raises :class:`ConfigError` on a bad value and
+    on any setting that ``command`` does not read for this preset: only
+    ``run`` on an identification preset reads the run settings, and only
+    ``run`` reads algorithms. The config is frozen, so these derived fields
+    cannot go stale; ``dataclasses.replace`` derives them afresh."""
 
     preset: str
     replications: int = 32
@@ -58,19 +83,23 @@ class ExperimentConfig:
     output_path: str | None = None
     jobs: int = 1
     algorithms: tuple[str, ...] | None = None
+    command: str = "run"
+    run_config: RunConfig = field(init=False)
 
     def __post_init__(self):
+        set_ = functools.partial(object.__setattr__, self)
+        names = self.algorithms
         try:
-            self.preset = canonical_preset(str(self.preset))
-            self.replications = int(self.replications)
-            self.base_seed = int(self.base_seed)
-            self.delta = float(self.delta)
-            self.jobs = int(self.jobs)
+            set_("preset", canonical_preset(str(self.preset)))
+            for name in ("replications", "base_seed", "jobs"):
+                set_(name, _as(int, getattr(self, name)))
+            set_("delta", float(self.delta))
+            set_("overrides", dict(self.overrides))
             if self.output_path is not None:
-                self.output_path = str(self.output_path)
-            if isinstance(self.algorithms, str):
-                self.algorithms = [a.strip() for a in self.algorithms.split(",") if a.strip()]
-            self.algorithms = tuple(self.algorithms) if self.algorithms else None
+                set_("output_path", str(self.output_path))
+            if isinstance(names, str):
+                names = [a.strip() for a in names.split(",") if a.strip()]
+            names = tuple(map(str, names)) if names else ()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad configuration value: {exc}") from exc
         if self.replications < 1:
@@ -81,12 +110,32 @@ class ExperimentConfig:
             raise ConfigError("jobs must be at least 1")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be nonnegative")
-        # Every preset also accepts the run settings.
-        known = {*PRESET_DEFAULTS[self.preset], *(f.name for f in fields(RunConfig))}
+        if self.command not in COMMANDS:
+            raise ConfigError(f"unknown command {self.command!r}")
+        if self.command != "run" and names:
+            raise ConfigError(f"unknown setting algorithms for {self.command}; only run reads it")
+        varest = self.preset == "varest"
+        run_settings = RUN_SETTINGS if self.command == "run" and not varest else ()
+        known = {*PRESET_DEFAULTS[self.preset], *run_settings}
         unknown = sorted(map(str, set(self.overrides) - known))
         if unknown:
-            raise ConfigError(f"unknown setting {', '.join(unknown)} for preset {self.preset}; "
-                              f"it accepts {', '.join(sorted(known))}")
+            raise ConfigError(f"unknown setting {', '.join(unknown)} for {self.command} on preset "
+                              f"{self.preset}; it accepts {', '.join(sorted(known)) or 'none'}")
+        settings = {"c_prime": PRACTICAL_C_PRIME, **{k: self.overrides[k] for k in run_settings
+                                                     if k in self.overrides}}
+        try:
+            set_("run_config", RunConfig(**{f.name: _as(type(f.default), settings[f.name])
+                                            for f in fields(RunConfig) if f.name in settings}))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad run setting: {exc}") from exc
+        canonical = VAREST_ALGORITHMS if varest else IDENT_ALGORITHMS
+        unknown = [a for a in names if a not in canonical]
+        if unknown:
+            raise ConfigError(f"unknown algorithm {', '.join(unknown)} for preset {self.preset}; "
+                              f"it runs {', '.join(canonical)}")
+        if len(set(names)) < len(names):
+            raise ConfigError(f"repeated algorithm in {', '.join(names)}")
+        set_("algorithms", tuple(a for a in canonical if not names or a in names))
 
 
 _PRESET_ALIASES = {"introkappa": "intro", "multivariatetest": "multivariate", "varestcompare": "varest"}
@@ -247,4 +296,4 @@ def build_preset(config: ExperimentConfig, seed: int | None = None) -> PresetBun
             str(task_params["objective"]), config.delta, instance, float(task_params["alpha"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for preset {name}: {exc}") from exc
-    return PresetBundle(name, instance, task, params, variances)
+    return PresetBundle(name, instance, task, variances)

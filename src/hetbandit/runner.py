@@ -11,25 +11,21 @@ import concurrent.futures
 import functools
 import math
 import time
-from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import HetBanditError
 from .env import Environment
-from .ident import IdentTask, RunConfig, hrage_run, oracle_run, psi_star, rage_run
-from .presets import ConfigError, ExperimentConfig, PresetBundle, VarEstTask, build_preset
+from .ident import IdentTask, hrage_run, oracle_run, psi_star, rage_run
+from .presets import (IDENT_ALGORITHMS, VAREST_ALGORITHMS, ConfigError, ExperimentConfig, PresetBundle,
+                      VarEstTask, build_preset)
 from .varest import head_estimate, mae, separate_arm_estimate, uniform_estimate
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "preset,algorithm,seed,metric_name,metric_value,correct,rounds,burn_in,wall_ms"
 DESIGN_HEADER = "preset,sigma_source,arm_index,weight,sigma_sq"
 DESIGN_FW_TOL = 1e-4
-
-# Experiment drivers default to a practical burn-in constant; the theoretical
-# one is far too conservative to simulate and stays the library default.
-PRACTICAL_C_PRIME = 1.0
 
 
 class Record(NamedTuple):
@@ -64,29 +60,21 @@ def _row(fields) -> str:
     return ",".join(_fmt(v) for v in fields)
 
 
-def _run_config(config: ExperimentConfig) -> RunConfig:
-    """The run settings among the overrides, each coerced to its default's type."""
-    o = {"c_prime": PRACTICAL_C_PRIME, **config.overrides}
-    try:
-        return RunConfig(**{f.name: type(f.default)(o[f.name]) for f in fields(RunConfig) if f.name in o})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad run setting: {exc}") from exc
-
-
 def _ident_fields(trace):
     return "total_pulls", float(trace.total_pulls), trace.correct, len(trace.rounds), trace.burn_in_pulls
 
 
-def _cells(config: ExperimentConfig, rep: int, bundle: PresetBundle, run_cfg: RunConfig) -> list:
+def _cells(config: ExperimentConfig, rep: int, bundle: PresetBundle) -> list:
     """``(algorithm, spawn key, run)`` per cell of replication ``rep``.
 
     ``run(env)`` returns the metric name, value, correct, rounds and burn-in
     of the cell. The lambdas look the algorithms up in this module's globals
-    when they are called, so a patched name is the one that runs. The order
-    of ``runs`` is the default algorithm order.
+    when they are called, so a patched name is the one that runs. A cell's
+    spawn key holds its algorithm's index in the task's canonical list.
     """
-    task, inst = bundle.task, bundle.instance
-    if isinstance(task, VarEstTask):
+    task, inst, run_cfg = bundle.task, bundle.instance, config.run_config
+    varest = isinstance(task, VarEstTask)
+    if varest:
         runs = {
             "head": lambda env, gamma: head_estimate(inst, env, gamma),
             "uniform": lambda env, gamma: uniform_estimate(inst, env, gamma, rng_seed=rep),
@@ -99,26 +87,23 @@ def _cells(config: ExperimentConfig, rep: int, bundle: PresetBundle, run_cfg: Ru
             "oracle-het": lambda env: oracle_run(task, env, "truth", variances=bundle.variances, config=run_cfg),
             "oracle-hom": lambda env: oracle_run(task, env, "max", config=run_cfg),
         }
-    algorithms = config.algorithms or tuple(runs)
-    for algo in algorithms:
-        if algo not in runs:
-            raise ConfigError(f"unknown algorithm {algo!r}")
-    if not isinstance(task, VarEstTask):
-        return [(algo, (rep, a), lambda env, run=runs[algo]: _ident_fields(run(env)))
-                for a, algo in enumerate(algorithms)]
+    # ExperimentConfig resolved the names against the canonical lists; these keys must be those lists.
+    assert tuple(runs) == (VAREST_ALGORITHMS if varest else IDENT_ALGORITHMS), tuple(runs)
+    if not varest:
+        return [(algo, (rep, IDENT_ALGORITHMS.index(algo)), lambda env, run=runs[algo]: _ident_fields(run(env)))
+                for algo in config.algorithms]
     cells = []
-    for a, algo in enumerate(algorithms):
+    for algo in config.algorithms:
         for b, gamma in enumerate(task.budgets):
             def run(env, estimate=runs[algo], gamma=gamma):
                 est = estimate(env, gamma)
                 return f"mae@{gamma}", mae(est, inst), None, None, est.budget_used
-            cells.append((algo, (rep, 1 + a, b), run))
+            cells.append((algo, (rep, 1 + VAREST_ALGORITHMS.index(algo), b), run))
     return cells
 
 
-def _run_one_seed(config: ExperimentConfig, run_cfg: RunConfig, bundle: PresetBundle | None,
-                  rep: int) -> list[Record]:
-    """Records of replication ``rep``'s cells, in a fixed algorithm order.
+def _run_one_seed(config: ExperimentConfig, bundle: PresetBundle | None, rep: int) -> list[Record]:
+    """Records of replication ``rep``'s cells, in canonical algorithm order.
     ``bundle`` is the suite's shared preset; None builds the replication's own."""
     if bundle is None:
         # A per-replication instance seed, independent of the noise streams.
@@ -126,7 +111,7 @@ def _run_one_seed(config: ExperimentConfig, run_cfg: RunConfig, bundle: PresetBu
         bundle = build_preset(config, seed=int(seed))
     inst = bundle.instance
     records = []
-    for algo, spawn_key, run in _cells(config, rep, bundle, run_cfg):
+    for algo, spawn_key, run in _cells(config, rep, bundle):
         env = Environment.from_instance(
             inst, seed=np.random.SeedSequence(config.base_seed, spawn_key=spawn_key)
         )
@@ -167,9 +152,8 @@ def run_suite(config: ExperimentConfig) -> tuple[list[str], bool]:
     unrounded per-seed values. A fixed-arm preset is built once here and
     shared by every replication. Writes ``config.output_path`` when set.
     """
-    run_cfg = _run_config(config)
     bundle = None if config.preset == "varest" else build_preset(config)
-    run_one_seed = functools.partial(_run_one_seed, config, run_cfg, bundle)
+    run_one_seed = functools.partial(_run_one_seed, config, bundle)
     reps = range(config.replications)
     if config.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:

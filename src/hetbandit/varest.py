@@ -48,6 +48,8 @@ from .env import Environment
 # Default multiplicative-error constant: 2e3 * (1 + 6 * (1/3)), combining the
 # concentration constant with the rounding slack at epsilon = 1/3.
 DEFAULT_C_PRIME = 6000.0
+# Default design tolerance of HEAD's solves and of the identification runs.
+DEFAULT_FW_TOL = 1e-2
 
 
 def head_budget_for_half(inst: HeteroInstance, delta: float, c_prime: float = DEFAULT_C_PRIME) -> int:
@@ -88,7 +90,7 @@ def head_estimate(
     inst: HeteroInstance,
     env: Environment,
     gamma: int,
-    fw_tol: float = 1e-2,
+    fw_tol: float = DEFAULT_FW_TOL,
 ) -> VarianceEstimate:
     """Two-phase design-based estimate of the noise matrix.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import hetbandit
+import hetbandit.cli as cli_mod
 import hetbandit.runner as runner_mod
 from hetbandit import Environment, ExperimentConfig, build_preset, run_suite
 from hetbandit.cli import _build_experiment_config, build_parser, main, parse_config_file
@@ -145,10 +147,24 @@ class TestRunSuite:
         assert float(sem[0].split(",")[4]) == pytest.approx(2.0e-11, rel=1e-6)
 
     def test_unknown_algorithm_is_a_config_error(self):
-        with pytest.raises(ConfigError):
-            run_suite(tiny_config(algorithms=("hrage", "mystery")))
-        with pytest.raises(ConfigError):
-            run_suite(tiny_varest_config(algorithms=("mystery",)))
+        # Rejected when the config is built, before any preset is.
+        with pytest.raises(ConfigError, match="mystery"):
+            tiny_config(algorithms=("hrage", "mystery"))
+        with pytest.raises(ConfigError, match="mystery"):
+            tiny_varest_config(algorithms=("mystery",))
+
+    @pytest.mark.parametrize("config, subset", [
+        (tiny_config(algorithms=None), ("rage", "hrage")),
+        (tiny_config(algorithms=None), ("oracle-hom",)),
+        (tiny_varest_config(algorithms=None), ("separate_arm", "head")),
+        (tiny_varest_config(algorithms=None), ("uniform",)),
+    ], ids=["example2-reordered", "example2-one", "varest-reordered", "varest-one"])
+    def test_algorithm_subset_keeps_rows(self, config, subset):
+        # A cell's noise stream follows its algorithm, not the list it came in.
+        full, _ = run_suite(config)
+        part, _ = run_suite(dataclasses.replace(config, algorithms=subset))
+        kept = [r for r in full if r.split(",")[1] in subset]
+        assert strip_wall(part) == strip_wall(kept)
 
     def test_varest_suite_rows(self):
         cfg = ExperimentConfig(
@@ -308,10 +324,45 @@ class TestCliMain:
         assert "Traceback" not in err
         assert not (tmp_path / "res.csv").exists()
 
+    @pytest.mark.parametrize("argv, key", [
+        (["design", "--preset", "example2", "--set", "fw_tol=abc", "--out", "{out}"], "fw_tol"),
+        (["complexity", "--preset", "example2", "--set", "max_rounds=-4"], "max_rounds"),
+        (["run", "--preset", "varest", "--set", "c_prime=2", "--out", "{out}"], "c_prime"),
+        (["run", "--preset", "varest", "--set", "max_rounds=3", "--out", "{out}"], "max_rounds"),
+        (["run", "--preset", "varest", "--set", "fw_tol=0.3", "--out", "{out}"], "fw_tol"),
+        (["design", "--config", "{cfg}", "--out", "{out}"], "algorithms"),
+    ], ids=["design-fw_tol", "complexity-max_rounds", "varest-c_prime", "varest-max_rounds",
+            "varest-fw_tol", "design-algorithms"])
+    def test_setting_not_read_exits_2(self, tmp_path, capsys, argv, key):
+        # A setting is accepted only by the command and preset that read it.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = example2\nalgorithms = 'rage'\n")
+        argv = [a.format(cfg=cfg, out=tmp_path / "res.csv") for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+        assert not (tmp_path / "res.csv").exists()
+
+    def test_unknown_algorithm_builds_no_preset(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build_preset(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "build_preset", counting_build)
+        monkeypatch.setattr(cli_mod, "build_preset", counting_build)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('preset = varest\nalgorithms = "mystery"\n')
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "mystery" in err
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["run", "design", "complexity"])
     def test_flags_add_no_defaults(self, command):
         args = build_parser().parse_args([command, "--preset", "example2"])
-        assert _build_experiment_config(args) == ExperimentConfig("example2")
+        assert _build_experiment_config(args) == ExperimentConfig("example2", command=command)
 
     def test_config_file_keys_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hetbandit import ExperimentConfig, IdentTask, RunConfig, build_preset, gap_delta, psi_star
-from hetbandit.presets import PRESET_DEFAULTS, ConfigError, VarEstTask, build_varest_instance
+from hetbandit.presets import (IDENT_ALGORITHMS, PRESET_DEFAULTS, VAREST_ALGORITHMS, ConfigError, VarEstTask,
+                               build_varest_instance)
 
 
 def config(preset, **kw):
@@ -31,7 +32,8 @@ class TestExample1:
         bundle = build_preset(config("example1", overrides={"d": 5, "q": 0.3}))
         assert bundle.instance.dimension == 5
         assert bundle.instance.n_arms == 11
-        assert bundle.params["q"] == 0.3
+        # The scaled axes follow the two anchor axes.
+        assert np.array_equal(bundle.instance.arms[2:5], 0.3 * np.eye(5)[2:5])
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -155,26 +157,65 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("preset", sorted(PRESET_DEFAULTS))
     def test_override_keys(self, preset):
-        # A preset accepts its own parameters and the run settings, nothing else.
-        run_settings = [f.name for f in dataclasses.fields(RunConfig)]
-        assert sorted(run_settings) == ["c_prime", "fw_tol", "max_rounds"]
-        for key, value in [*PRESET_DEFAULTS[preset].items(), *zip(run_settings, (1.0, 1e-2, 40))]:
-            assert ExperimentConfig(preset, overrides={key: value}).overrides == {key: value}
+        # A preset accepts its own parameters and the run settings that the
+        # command reads for it, nothing else: run reads all three on the
+        # identification presets and none on varest; design and complexity
+        # read none.
+        run_settings = {"c_prime": 1.0, "fw_tol": 1e-2, "max_rounds": 40}
+        assert sorted(run_settings) == sorted(f.name for f in dataclasses.fields(RunConfig))
         others = {key for defaults in PRESET_DEFAULTS.values() for key in defaults}
-        for key in ["omgea", "fw_tl", "repz", *sorted(others - set(PRESET_DEFAULTS[preset]))]:
-            with pytest.raises(ConfigError, match=key):
-                ExperimentConfig(preset, overrides={key: 1})
+        for command in ("run", "design", "complexity"):
+            read = set(run_settings) if command == "run" and preset != "varest" else set()
+            for key, value in [*PRESET_DEFAULTS[preset].items(), *((k, run_settings[k]) for k in read)]:
+                assert ExperimentConfig(preset, overrides={key: value}, command=command).overrides == {key: value}
+            for key in ["omgea", "fw_tl", "repz", *sorted(others - set(PRESET_DEFAULTS[preset])),
+                        *sorted(set(run_settings) - read)]:
+                with pytest.raises(ConfigError, match=f"unknown setting {key} for {command}"):
+                    ExperimentConfig(preset, overrides={key: 1}, command=command)
+
+    def test_run_config_built_once(self):
+        assert ExperimentConfig("example2").run_config == RunConfig(c_prime=1.0)
+        cfg = ExperimentConfig("example2", overrides={"c_prime": "2", "fw_tol": 0.5, "max_rounds": 3.0})
+        assert cfg.run_config == RunConfig(c_prime=2.0, fw_tol=0.5, max_rounds=3)
+        for bad in ({"fw_tol": "abc"}, {"fw_tol": 0}, {"max_rounds": -4}, {"max_rounds": 2.5}, {"c_prime": None}):
+            with pytest.raises(ConfigError, match="bad run setting"):
+                ExperimentConfig("example2", overrides=bad)
+        # Frozen, so the derived fields cannot go stale; replace derives them afresh.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.algorithms = None
+        assert dataclasses.replace(cfg, overrides={"max_rounds": 5}).run_config == RunConfig(c_prime=1.0, max_rounds=5)
+
+    @pytest.mark.parametrize("preset, algorithms, match", [
+        ("example2", ("hrage", "mystery"), "unknown algorithm mystery"),
+        ("example2", ("head",), "unknown algorithm head"),
+        ("varest", ("hrage",), "unknown algorithm hrage"),
+        ("example2", "rage,rage", "repeated algorithm"),
+        ("varest", ("head", "uniform", "head"), "repeated algorithm"),
+    ])
+    def test_algorithms_resolved_against_task(self, preset, algorithms, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(preset, algorithms=algorithms)
+
+    @pytest.mark.parametrize("command", ["design", "complexity"])
+    def test_algorithms_only_on_run(self, command):
+        with pytest.raises(ConfigError, match="algorithms"):
+            ExperimentConfig("example2", algorithms="rage", command=command)
+        with pytest.raises(ConfigError, match="unknown command"):
+            ExperimentConfig("example2", command="desing")
 
     def test_fields_coerced(self):
         cfg = ExperimentConfig(" Example-2 ", replications="3", base_seed=2.0, delta="0.1",
                                jobs="2", output_path=None, algorithms="rage, hrage,")
         assert (cfg.preset, cfg.replications, cfg.base_seed, cfg.delta, cfg.jobs) == ("example2", 3, 2, 0.1, 2)
-        assert cfg.algorithms == ("rage", "hrage")
+        # Algorithms come in the task's canonical order; none given means all.
+        assert cfg.algorithms == ("hrage", "rage")
         assert ExperimentConfig("example2", algorithms=["rage"]).algorithms == ("rage",)
-        assert ExperimentConfig("example2", algorithms=()).algorithms is None
+        assert ExperimentConfig("example2", algorithms=()).algorithms == IDENT_ALGORITHMS
+        assert ExperimentConfig("varest").algorithms == VAREST_ALGORITHMS
 
     @pytest.mark.parametrize("field, value", [
         ("replications", "x"), ("base_seed", None), ("delta", "small"), ("jobs", [2]), ("algorithms", 5),
+        ("replications", 2.5),
     ])
     def test_bad_field_type_is_a_config_error(self, field, value):
         with pytest.raises(ConfigError):
