@@ -10,9 +10,9 @@ from the default of :class:`~hetbandit.presets.ExperimentConfig`. The other
 file keys, ``--kappa`` and each ``--set`` override a preset parameter or a run
 setting. ``ExperimentConfig`` rejects a setting that the command does not
 read: the run settings (``c_prime``, ``fw_tol``, ``max_rounds``) belong to
-``run`` on an identification preset, and ``algorithms`` to ``run`` alone.
-``design``, ``complexity`` and the ``varest`` estimators solve at fixed
-tolerances.
+``run`` on an identification preset, and ``algorithms``, ``--reps``,
+``--seed`` and ``--jobs`` to ``run`` alone. ``design``, ``complexity`` and
+the ``varest`` estimators solve at fixed tolerances.
 
 Exit codes: 0 success, 2 configuration error, 3 run failure.
 """
@@ -77,10 +77,10 @@ def _build_experiment_config(args) -> ExperimentConfig:
 def _add_common_args(sub):
     sub.add_argument("--config", help="flat key = value configuration file")
     sub.add_argument("--preset", help="experiment preset name")
-    sub.add_argument("--reps", type=int, default=None, help="replication count")
-    sub.add_argument("--seed", type=int, default=None, help="base seed")
+    sub.add_argument("--reps", type=int, default=None, help="replication count (run only)")
+    sub.add_argument("--seed", type=int, default=None, help="base seed (run only)")
     sub.add_argument("--delta", type=float, default=None, help="confidence level")
-    sub.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    sub.add_argument("--jobs", type=int, default=None, help="parallel workers (run only)")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a preset parameter or a run setting (repeatable)")
     sub.add_argument("--out", default=None, help="output CSV path")

@@ -127,18 +127,21 @@ def greedy_spanning_subset(vectors: np.ndarray, size: int) -> list[int]:
     out the rows already chosen, which keeps the chosen system well
     conditioned without a combinatorial subset search. Stops early once
     every residual is below ``1e-20`` times the largest squared row norm.
+    Working memory: one residual copy and one update buffer of the input.
     """
     resid = np.array(vectors, dtype=np.float64)
+    update = np.empty_like(resid)
+    norms = np.einsum("ij,ij->i", resid, resid)
+    floor = 1e-20 * max(float(norms.max()), 1e-300)
     chosen: list[int] = []
-    scale = float(np.einsum("ij,ij->i", resid, resid).max())
     for _ in range(size):
-        norms = np.einsum("ij,ij->i", resid, resid)
         idx = int(np.argmax(norms))
-        if norms[idx] <= 1e-20 * max(scale, 1e-300):
+        if norms[idx] <= floor:
             break
         chosen.append(idx)
         q = resid[idx] / math.sqrt(norms[idx])
-        resid -= np.outer(resid @ q, q)
+        resid -= np.multiply.outer(resid @ q, q, out=update)
+        np.einsum("ij,ij->i", resid, resid, out=norms)
     return chosen
 
 

@@ -72,8 +72,9 @@ class ExperimentConfig:
     from the run settings. It raises :class:`ConfigError` on a bad value and
     on any setting that ``command`` does not read for this preset: only
     ``run`` on an identification preset reads the run settings, and only
-    ``run`` reads algorithms. The config is frozen, so these derived fields
-    cannot go stale; ``dataclasses.replace`` derives them afresh."""
+    ``run`` reads algorithms, replications, base_seed and jobs, which must
+    keep their defaults elsewhere. The config is frozen, so these derived
+    fields cannot go stale; ``dataclasses.replace`` derives them afresh."""
 
     preset: str
     replications: int = 32
@@ -112,8 +113,10 @@ class ExperimentConfig:
             raise ConfigError("base_seed must be nonnegative")
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.command != "run" and names:
-            raise ConfigError(f"unknown setting algorithms for {self.command}; only run reads it")
+        unread = [f.name for f in fields(self) if f.name in ("replications", "base_seed", "jobs", "algorithms")
+                  and getattr(self, f.name) != f.default]
+        if self.command != "run" and unread:
+            raise ConfigError(f"unknown setting {', '.join(unread)} for {self.command}; only run reads it")
         varest = self.preset == "varest"
         run_settings = RUN_SETTINGS if self.command == "run" and not varest else ()
         known = {*PRESET_DEFAULTS[self.preset], *run_settings}

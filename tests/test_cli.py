@@ -331,8 +331,11 @@ class TestCliMain:
         (["run", "--preset", "varest", "--set", "max_rounds=3", "--out", "{out}"], "max_rounds"),
         (["run", "--preset", "varest", "--set", "fw_tol=0.3", "--out", "{out}"], "fw_tol"),
         (["design", "--config", "{cfg}", "--out", "{out}"], "algorithms"),
+        (["design", "--preset", "example2", "--reps", "9", "--jobs", "4", "--seed", "3", "--out", "{out}"],
+         "replications, base_seed, jobs"),
+        (["complexity", "--preset", "example2", "--seed", "3"], "base_seed"),
     ], ids=["design-fw_tol", "complexity-max_rounds", "varest-c_prime", "varest-max_rounds",
-            "varest-fw_tol", "design-algorithms"])
+            "varest-fw_tol", "design-algorithms", "design-reps-jobs-seed", "complexity-seed"])
     def test_setting_not_read_exits_2(self, tmp_path, capsys, argv, key):
         # A setting is accepted only by the command and preset that read it.
         cfg = tmp_path / "run.cfg"
@@ -341,6 +344,18 @@ class TestCliMain:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
+        assert not (tmp_path / "res.csv").exists()
+
+    @pytest.mark.parametrize("command", ["design", "complexity"])
+    @pytest.mark.parametrize("keys", ["reps = 9\nseed = 3\njobs = 4\n",
+                                      "replications = 9\nbase_seed = 3\njobs = 4\n"], ids=["short", "long"])
+    def test_replication_file_keys_not_read_exit_2(self, tmp_path, capsys, command, keys):
+        # Only run reads the replication settings, from a flag or a file key alike.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = example2\n" + keys)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "res.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "replications, base_seed, jobs" in err
         assert not (tmp_path / "res.csv").exists()
 
     def test_unknown_algorithm_builds_no_preset(self, tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from hetbandit import (
     unvech,
     vech,
 )
-from hetbandit.core import fit_arm_sums, gram_eigh, quad_forms, solve_psd
+from hetbandit.core import fit_arm_sums, gram_eigh, greedy_spanning_subset, quad_forms, solve_psd
+from hetbandit.presets import PRESET_DEFAULTS, build_varest_instance
 from hetbandit.varest import _clamp_all
 
 
@@ -171,6 +174,52 @@ class TestGramEigh:
         for A, nonzero in ((np.zeros((6, 3)), 0), (repeated, 4)):
             lam, _, delta = gram_eigh(A)
             assert np.count_nonzero(lam > delta) == nonzero
+
+
+def _greedy_reference(vectors, size):
+    """The pivoting loop with a fresh outer product and norms vector per step."""
+    resid = np.array(vectors, dtype=np.float64)
+    chosen = []
+    scale = float(np.einsum("ij,ij->i", resid, resid).max())
+    for _ in range(size):
+        norms = np.einsum("ij,ij->i", resid, resid)
+        idx = int(np.argmax(norms))
+        if norms[idx] <= 1e-20 * max(scale, 1e-300):
+            break
+        chosen.append(idx)
+        q = resid[idx] / math.sqrt(norms[idx])
+        resid -= np.outer(resid @ q, q)
+    return chosen
+
+
+class TestGreedySpanningSubset:
+    """The in-place pivoting picks exactly the reference loop's rows."""
+
+    @staticmethod
+    def assert_matches(vectors, size, expected_len):
+        before = vectors.copy()
+        got = greedy_spanning_subset(vectors, size)
+        assert got == _greedy_reference(vectors, size)
+        assert len(got) == expected_len
+        assert np.array_equal(vectors, before)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_varest_lift(self, seed):
+        inst = build_varest_instance({**PRESET_DEFAULTS["varest"], "d": 15}, seed)
+        phi = lift_arms(inst.arms)
+        self.assert_matches(phi, phi.shape[1], phi.shape[1])
+
+    def test_rank_deficient_stops_at_rank(self):
+        rng = np.random.default_rng(7)
+        vectors = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 8))
+        self.assert_matches(vectors, 8, 3)
+
+    def test_all_zero_returns_empty(self):
+        self.assert_matches(np.zeros((5, 4)), 4, 0)
+
+    def test_size_above_rank(self):
+        vectors = np.random.default_rng(8).standard_normal((12, 5))
+        self.assert_matches(vectors, 9, 5)
 
 
 class TestFitArmSums:

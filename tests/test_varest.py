@@ -19,7 +19,7 @@ from hetbandit import (
     uniform_estimate,
 )
 from hetbandit.core import greedy_spanning_subset, lift_arms, solve_psd, vech
-from hetbandit.presets import build_varest_instance
+from hetbandit.presets import PRESET_DEFAULTS, build_varest_instance
 
 
 def per_pull_moments(env, schedule, draws):
@@ -203,6 +203,17 @@ class TestSeparateArm:
         env = Environment.from_instance(inst, seed=0)
         with pytest.raises(InsufficientBudget):
             separate_arm_estimate(inst, env, 3)
+
+    def test_lifts_not_kept(self):
+        # The instance and its environment keep no d(d+1)/2-column array,
+        # so per-instance memory stays that of the arms.
+        d = 15
+        inst = build_varest_instance({**PRESET_DEFAULTS["varest"], "d": d}, 0)
+        env = Environment.from_instance(inst, seed=0)
+        separate_arm_estimate(inst, env, 10_000)
+        held = [*vars(inst).values(), *(getattr(env, name) for name in env.__slots__)]
+        m_dim = d * (d + 1) // 2
+        assert not [a for a in held if isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[1] == m_dim]
 
 
 class TestMae:
