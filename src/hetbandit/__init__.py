@@ -11,13 +11,11 @@ from .core import (
     HetBanditError,
     HeteroInstance,
     InsufficientBudget,
-    LiftedArm,
     RankDeficientLift,
     SingularInformation,
     SpanViolation,
     VarianceEstimate,
     lift_arms,
-    lift_phi,
     unvech,
     vech,
 )
@@ -28,12 +26,10 @@ from .ident import (
     IdentTask,
     RunConfig,
     RunTrace,
-    gap_delta,
     hrage_run,
     oracle_run,
     psi_star,
     rage_run,
-    wls_estimate,
 )
 from .presets import ConfigError, ExperimentConfig, PresetBundle, VarEstTask, build_preset
 from .runner import emit_design_table, run_suite
@@ -60,7 +56,6 @@ __all__ = [
     "HeteroInstance",
     "IdentTask",
     "InsufficientBudget",
-    "LiftedArm",
     "PresetBundle",
     "RankDeficientLift",
     "RoundSchedule",
@@ -72,12 +67,10 @@ __all__ = [
     "VarianceEstimate",
     "build_preset",
     "emit_design_table",
-    "gap_delta",
     "head_budget_for_half",
     "head_estimate",
     "hrage_run",
     "lift_arms",
-    "lift_phi",
     "mae",
     "oracle_run",
     "psi_star",
@@ -89,7 +82,6 @@ __all__ = [
     "uniform_estimate",
     "unvech",
     "vech",
-    "wls_estimate",
 ]
 
 __version__ = "0.1.0"

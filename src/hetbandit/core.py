@@ -90,29 +90,11 @@ def unvech(vec: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LiftedArm:
-    """An arm mapped into the d(d+1)/2-dimensional quadratic-form space.
-
-    The defining property is ``phi @ vech(S) == x' S x`` for every symmetric
-    ``S``; diagonal entries of the outer product appear once, off-diagonal
-    entries with a factor of two.
-    """
-
-    phi: np.ndarray
-    source_index: int = -1
-
-
-def lift_phi(x: np.ndarray, source_index: int = -1) -> LiftedArm:
-    """Lift a single arm so quadratic forms in x become linear in vech space."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise DimensionMismatch("arm must be a nonempty 1-d vector")
-    return LiftedArm(phi=_frozen(lift_arms(x[None, :])[0]), source_index=source_index)
-
-
 def lift_arms(arms: np.ndarray) -> np.ndarray:
-    """Vectorized lift of a stack of arms; row i is the lift of arms[i]."""
+    """Lift each arm into the d(d+1)/2-dimensional quadratic-form space: row i
+    is the ``phi`` with ``phi @ vech(S) == x' S x`` for ``x = arms[i]`` and
+    every symmetric ``S`` (diagonal entries of the outer product appear once,
+    off-diagonal ones twice). A single 1-d arm lifts to one row."""
     arms = _as_matrix(arms, "arms")
     d = arms.shape[1]
     rows, cols = vech_indices(d)
@@ -320,7 +302,6 @@ class Design:
 
     weights: np.ndarray
     value: float
-    support_size: int
     certified: bool = True
 
     def __post_init__(self):
@@ -334,6 +315,10 @@ class Design:
     @property
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights)
+
+    @property
+    def support_size(self) -> int:
+        return self.support.size
 
 
 @dataclass(frozen=True)

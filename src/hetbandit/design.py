@@ -271,8 +271,7 @@ def _solve_design(problem: DesignProblem) -> Design:
 
     def attempt(lam: np.ndarray) -> bool:
         value = float(quad_forms(X, V, lam * prec).max())
-        tried.append(Design(weights=lam, value=value, support_size=int(np.count_nonzero(lam)),
-                            certified=value <= bound * (1.0 + tol)))
+        tried.append(Design(weights=lam, value=value, certified=value <= bound * (1.0 + tol)))
         return tried[-1].certified
 
     def pruned(lam: np.ndarray) -> np.ndarray:

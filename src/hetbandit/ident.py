@@ -2,8 +2,8 @@
 
 Contains the variance-aware elimination algorithm (burn-in variance
 estimation followed by weighted adaptive designs), its homoskedastic
-counterpart, fixed-design oracle runs, the weighted least-squares estimator,
-and the instance complexity functionals.
+counterpart, fixed-design oracle runs, and the instance complexity
+functionals.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateGap, Design, DimensionMismatch, HeteroInstance, fit_arm_sums, quad_forms
+from .core import DegenerateGap, Design, HeteroInstance, fit_arm_sums, quad_forms
 from .core import solve_psd  # not called here; bench/probe.py counts calls through this name
 from .design import DesignProblem, round_design, solve_design
 from .env import Environment
@@ -66,18 +66,6 @@ def _answer(task: IdentTask, scores: np.ndarray) -> int | frozenset[int]:
     return frozenset(int(i) for i in np.flatnonzero(scores > task.alpha))
 
 
-def gap_delta(task: IdentTask) -> float:
-    """Minimum margin of the task: smallest suboptimality gap or threshold distance."""
-    values = task.instance.target_values()
-    if task.objective == "bai":
-        if len(values) == 1:
-            return math.inf
-        best = values[task.best_index]
-        rest = np.delete(values, task.best_index)
-        return float(np.min(best - rest))
-    return float(np.min(np.abs(values - task.alpha)))
-
-
 # Callers may keep one record per round of every run, so no per-instance dict.
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
@@ -118,26 +106,6 @@ class RunConfig:
             raise ValueError("fw_tol must be positive")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
-
-
-def wls_estimate(xs, ys, weights=None) -> np.ndarray:
-    """Weighted least squares ``argmin sum_i w_i (x_i' theta - y_i)^2``;
-    identity weights give OLS.
-
-    Each row is one pull of :func:`~hetbandit.core.fit_arm_sums`, so when the
-    rows span less than the space (a sparse design whose support is rank
-    deficient) the minimum-norm solution comes back and every ``v' theta``
-    with ``v`` in the row span is still estimated accurately.
-    """
-    X = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64).ravel()
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise DimensionMismatch("need one observation row per response")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        if weights.shape != y.shape:
-            raise DimensionMismatch("need one weight per observation")
-    return fit_arm_sums(X, np.ones(y.shape[0]), y, weights)[0]
 
 
 def _difference_directions(targets: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -307,6 +275,8 @@ def _identification_pairs(task: IdentTask) -> tuple[np.ndarray, np.ndarray]:
     else:
         directions = Z
         gaps = np.abs(values - task.alpha)
+    if gaps.size == 0:
+        raise DegenerateGap("a best-arm task with one target has no pair to identify")
     if np.any(np.abs(gaps) < 1e-12):
         raise DegenerateGap("an identification gap is numerically zero")
     return directions, gaps

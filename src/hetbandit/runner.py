@@ -165,7 +165,7 @@ def run_suite(config: ExperimentConfig) -> tuple[list[str], bool]:
     any_failed = any(r.metric_name.startswith("error:") for r in records)
     rows = [_row(r) for r in records + _summary_rows(records)]
     if config.output_path:
-        write_csv(config.output_path, rows)
+        _write(config.output_path, CSV_HEADER, rows)
     return rows, any_failed
 
 
@@ -176,10 +176,6 @@ def _write(path: str, header: str, rows: list[str]):
             fh.writelines(row + "\n" for row in rows)
     except OSError as exc:
         raise HetBanditError(f"could not write {path}: {exc}") from exc
-
-
-def write_csv(path: str, rows: list[str]):
-    _write(path, CSV_HEADER, rows)
 
 
 def design_table_rows(bundle: PresetBundle, sigma_sources=("truth", "max")) -> list[str]:

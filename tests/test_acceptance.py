@@ -22,7 +22,7 @@ from hetbandit import (
     build_preset,
     head_estimate,
     hrage_run,
-    lift_phi,
+    lift_arms,
     mae,
     psi_star,
     rage_run,
@@ -67,7 +67,7 @@ def test_criterion_02_lift_identity_fuzz():
         sym = rng.standard_normal((d, d))
         sym = 0.5 * (sym + sym.T)
         direct = x @ sym @ x
-        lifted = lift_phi(x).phi @ vech(sym)
+        lifted = lift_arms(x)[0] @ vech(sym)
         worst = max(worst, abs(lifted - direct) / (1 + abs(direct)))
     ok = worst <= 1e-10
     assert report(2, ok, f"worst normalized error {worst:.2e} over 100 cases")

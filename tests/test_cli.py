@@ -264,6 +264,14 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert "psi_star" in out and "rho_star" in out and "sample_lower_bound" in out
 
+    def test_complexity_of_one_target_exits_3(self, tmp_path, capsys):
+        # A best-arm task with one target is valid, but has no complexity.
+        path = tmp_path / "one_target.npz"
+        np.savez(path, arms=np.eye(2), targets=[[1.0, 0.0]], theta_star=[1.0, 0.0], sigma_star=np.eye(2))
+        code = main(["complexity", "--preset", "custom", "--set", f"instance_file={path}"])
+        assert code == 3
+        assert "one target" in capsys.readouterr().err
+
     def test_design_command(self, tmp_path, capsys):
         out = tmp_path / "design.csv"
         code = main(["design", "--preset", "intro", "--kappa", "20", "--out", str(out)])

@@ -12,7 +12,6 @@ from hetbandit import (
     HeteroInstance,
     SingularInformation,
     lift_arms,
-    lift_phi,
     unvech,
     vech,
 )
@@ -28,19 +27,19 @@ def random_symmetric(rng, d):
 
 class TestLift:
     def test_basis_vector(self):
-        arm = lift_phi(np.array([1.0, 0.0]))
-        assert np.array_equal(arm.phi, [1.0, 0.0, 0.0])
-        assert arm.phi @ vech(np.eye(2)) == 1.0
+        phi = lift_arms(np.array([1.0, 0.0]))[0]
+        assert np.array_equal(phi, [1.0, 0.0, 0.0])
+        assert phi @ vech(np.eye(2)) == 1.0
 
     def test_identity_matrix_case(self):
-        arm = lift_phi(np.array([1.0, 2.0]))
-        assert arm.phi @ vech(np.eye(2)) == pytest.approx(5.0, abs=1e-12)
+        phi = lift_arms(np.array([1.0, 2.0]))[0]
+        assert phi @ vech(np.eye(2)) == pytest.approx(5.0, abs=1e-12)
 
     def test_matches_direct_product(self):
         rng = np.random.default_rng(3)
         x = np.array([0.3, -1.1, 2.0])
         sigma = random_symmetric(rng, 3)
-        got = lift_phi(x).phi @ vech(sigma)
+        got = lift_arms(x)[0] @ vech(sigma)
         assert got == pytest.approx(x @ sigma @ x, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -50,7 +49,7 @@ class TestLift:
         x = rng.standard_normal(d)
         sigma = random_symmetric(rng, d)
         direct = x @ sigma @ x
-        lifted = lift_phi(x).phi @ vech(sigma)
+        lifted = lift_arms(x)[0] @ vech(sigma)
         assert abs(lifted - direct) <= 1e-10 * (1 + abs(direct))
 
     def test_bulk_lift_matches_single(self):
@@ -58,11 +57,12 @@ class TestLift:
         arms = rng.standard_normal((5, 4))
         bulk = lift_arms(arms)
         for i in range(5):
-            assert np.allclose(bulk[i], lift_phi(arms[i]).phi)
+            assert np.allclose(bulk[i], lift_arms(arms[i])[0])
 
     def test_lift_rejects_matrix_input(self):
+        # One arm is a vector and a stack of arms a matrix; a stack of matrices is neither.
         with pytest.raises(DimensionMismatch):
-            lift_phi(np.eye(2))
+            lift_arms(np.ones((2, 2, 2)))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -399,12 +399,13 @@ class TestHeteroInstance:
 class TestDesignType:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
-            Design(weights=np.array([-0.1, 1.1]), value=1.0, support_size=2)
+            Design(weights=np.array([-0.1, 1.1]), value=1.0)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            Design(weights=np.array([0.5, 0.4]), value=1.0, support_size=2)
+            Design(weights=np.array([0.5, 0.4]), value=1.0)
 
     def test_support(self):
-        d = Design(weights=np.array([0.5, 0.0, 0.5]), value=1.0, support_size=2)
+        d = Design(weights=np.array([0.5, 0.0, 0.5]), value=1.0)
         assert list(d.support) == [0, 2]
+        assert d.support_size == 2

@@ -512,7 +512,7 @@ class TestSolveDesignMemo:
 
         def fake_engine(problem):
             calls.append(problem)
-            return design_module.Design(weights=np.full(2, 0.5), value=1.0, support_size=2)
+            return design_module.Design(weights=np.full(2, 0.5), value=1.0)
 
         monkeypatch.setattr(design_module, "_solve_design", fake_engine)
         problems = [DesignProblem(np.eye(2), np.eye(2), tolerance=1e-3 * (k + 1))
@@ -538,8 +538,7 @@ class TestSolveDesignMemo:
         # A small memo with one problem more than fits: threads keep hitting
         # entries that others are evicting.
         def fake_engine(problem):
-            return design_module.Design(weights=np.full(2, 0.5), value=problem.tolerance,
-                                        support_size=2)
+            return design_module.Design(weights=np.full(2, 0.5), value=problem.tolerance)
 
         monkeypatch.setattr(design_module, "_solve_design", fake_engine)
         monkeypatch.setattr(design_module, "MEMO_SIZE", 4)
@@ -613,7 +612,7 @@ class TestSolveDesignMemo:
         problem = memo_problem()
         engine = design_module._solve_design
         monkeypatch.setattr(design_module, "_solve_design", lambda p: design_module.Design(
-            weights=np.full(2, 0.5), value=1.0, support_size=2))
+            weights=np.full(2, 0.5), value=1.0))
         for k in range(MEMO_SIZE + 1):
             solve_design(DesignProblem(np.eye(2), np.eye(2), tolerance=1e-3 * (k + 1)))
         monkeypatch.setattr(design_module, "_solve_design", engine)
@@ -730,7 +729,7 @@ class TestRoundDesign:
     def test_ceiling_bounds_property(self, n, seed):
         rng = np.random.default_rng(seed)
         weights = rng.dirichlet(np.ones(4))
-        design = Design(weights=weights, value=1.0, support_size=int((weights > 0).sum()))
+        design = Design(weights=weights, value=1.0)
         schedule = round_design(design, n)
         assert n <= schedule.total <= n + design.support_size
 
@@ -748,6 +747,6 @@ class TestRoundDesign:
         support = np.flatnonzero(weights)
         evals = rng.standard_normal((4, support.size)) @ arms[support]
         value = float(quad_forms(arms, evals, weights / variances).max())
-        design = Design(weights=weights, value=value, support_size=support.size)
+        design = Design(weights=weights, value=value)
         schedule = round_design(design, n)
         assert realized_value(schedule, arms, evals, variances) <= value / n * (1 + 1e-9)

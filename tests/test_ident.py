@@ -10,14 +10,13 @@ from hetbandit import (
     HeteroInstance,
     IdentTask,
     RunConfig,
-    gap_delta,
     hrage_run,
     oracle_run,
     psi_star,
     rage_run,
-    wls_estimate,
 )
-from hetbandit.ident import round_budget
+from hetbandit.core import fit_arm_sums
+from hetbandit.ident import _identification_pairs, round_budget
 
 
 def silent_env(inst, seed=0):
@@ -28,6 +27,20 @@ def two_target_instance(gap=0.1):
     arms = np.eye(2)
     targets = np.array([[1.0, 0.0], [1.0 - gap, 0.0]])
     return HeteroInstance(arms, targets, np.array([1.0, 0.0]), np.eye(2), 1.0, 1.0)
+
+
+def single_target_instance():
+    return HeteroInstance(np.eye(2), np.array([[1.0, 0.0]]), np.array([1.0, 0.0]), np.eye(2), 1.0, 1.0)
+
+
+def wls(xs, ys, weights=None):
+    """Weighted least squares with one pull per row, through ``fit_arm_sums``."""
+    return fit_arm_sums(xs, np.ones(len(ys)), ys, weights)[0]
+
+
+def min_gap(task):
+    """Smallest gap of the pairs a complexity report scales by."""
+    return _identification_pairs(task)[1].min()
 
 
 def ladder_ls_instance():
@@ -41,14 +54,14 @@ class TestWls:
     def test_exact_recovery_noiseless(self):
         xs = np.eye(3)
         theta = np.array([0.5, -1.0, 2.0])
-        assert np.allclose(wls_estimate(xs, xs @ theta), theta)
+        assert np.allclose(wls(xs, xs @ theta), theta)
 
     def test_weights_equal_duplication(self):
         rng = np.random.default_rng(1)
         xs = rng.standard_normal((4, 2))
         ys = rng.standard_normal(4)
-        doubled = wls_estimate(np.vstack([xs, xs[:1]]), np.append(ys, ys[0]))
-        weighted = wls_estimate(xs, ys, weights=[2.0, 1.0, 1.0, 1.0])
+        doubled = wls(np.vstack([xs, xs[:1]]), np.append(ys, ys[0]))
+        weighted = wls(xs, ys, weights=[2.0, 1.0, 1.0, 1.0])
         assert np.allclose(doubled, weighted, atol=1e-12)
 
     def test_matches_normal_equations(self):
@@ -57,7 +70,7 @@ class TestWls:
         ys = rng.standard_normal(30)
         w = rng.uniform(0.5, 2.0, 30)
         expected = np.linalg.solve((xs * w[:, None]).T @ xs, (xs * w[:, None]).T @ ys)
-        assert np.allclose(wls_estimate(xs, ys, weights=w), expected, rtol=1e-9)
+        assert np.allclose(wls(xs, ys, weights=w), expected, rtol=1e-9)
 
     def test_rank_deficient_rows_give_min_norm_fit(self):
         # Two pulled arms in R^4, as a sparse design with a singular optimum
@@ -65,7 +78,7 @@ class TestWls:
         xs = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
         ys = np.array([0.015, 0.02])
         w = np.array([4.0e6, 2.5e6])
-        theta = wls_estimate(xs, ys, weights=w)
+        theta = wls(xs, ys, weights=w)
         np.testing.assert_allclose(theta, np.linalg.pinv(xs) @ ys, rtol=0, atol=1e-15)
         assert (xs[0] - xs[1]) @ theta == pytest.approx(-0.005, rel=1e-12)
 
@@ -73,12 +86,12 @@ class TestWls:
 class TestTaskAndGap:
     def test_two_arm_gap(self):
         task = IdentTask("bai", 0.05, two_target_instance(0.5))
-        assert gap_delta(task) == pytest.approx(0.5)
+        assert min_gap(task) == pytest.approx(0.5)
 
     def test_ls_gap_all_above(self):
         inst = ladder_ls_instance()
         task = IdentTask("ls", 0.05, inst, alpha=-0.5)
-        assert gap_delta(task) == pytest.approx(0.5)
+        assert min_gap(task) == pytest.approx(0.5)
 
     def test_random_gap_matches_loop(self):
         rng = np.random.default_rng(3)
@@ -86,7 +99,7 @@ class TestTaskAndGap:
         values = task.instance.target_values()
         best = values.max()
         expected = min(best - v for v in values if v < best)
-        assert gap_delta(task) == pytest.approx(expected)
+        assert min_gap(task) == pytest.approx(expected)
 
     def test_bai_requires_unique_max(self):
         arms = np.eye(2)
@@ -161,8 +174,7 @@ class TestSilentRuns:
         assert trace.correct and len(trace.rounds) == 4
 
     def test_single_target_returns_immediately(self):
-        arms = np.eye(2)
-        inst = HeteroInstance(arms, np.array([[1.0, 0.0]]), np.array([1.0, 0.0]), np.eye(2), 1.0, 1.0)
+        inst = single_target_instance()
         task = IdentTask("bai", 0.05, inst)
         for runner in (rage_run, hrage_run):
             trace = runner(task, silent_env(inst))
@@ -245,6 +257,12 @@ class TestComplexity:
         inst = HeteroInstance(arms, targets, np.array([1.0, 0.0]), np.eye(2), 1.0, 1.0)
         task = IdentTask("bai", 0.05, inst)
         with pytest.raises(DegenerateGap):
+            psi_star(task)
+
+    def test_single_target_raises(self):
+        # One target leaves no pair to identify, so no complexity is defined.
+        task = IdentTask("bai", 0.05, single_target_instance())
+        with pytest.raises(DegenerateGap, match="one target"):
             psi_star(task)
 
     def test_lower_bound_formula(self):
