@@ -52,8 +52,8 @@ def _as_matrix(vectors, name="vectors") -> np.ndarray:
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a list of equal-length vectors")
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise DimensionMismatch(f"{name} must be a list of equal-length, non-empty vectors")
     return arr
 
 
@@ -65,8 +65,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def vech_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Row/column indices of the lower triangle in column-major order."""
-    rows = np.concatenate([np.arange(j, d) for j in range(d)])
-    cols = np.concatenate([np.full(d - j, j) for j in range(d)])
+    cols, rows = np.triu_indices(d)  # the upper triangle's, in row-major order
     return rows, cols
 
 
@@ -102,28 +101,49 @@ def lift_arms(arms: np.ndarray) -> np.ndarray:
     return arms[:, rows] * arms[:, cols] * coeff
 
 
+_last_lift = [None, None]  # [arms, lift], read and replaced whole; held arms keep a unique identity
+
+
+def instance_lift(inst: "HeteroInstance") -> np.ndarray:
+    """Read-only ``lift_arms(inst.arms)``; an instance's arms are frozen, so identity is a sound key."""
+    arms, lift = _last_lift
+    if arms is not inst.arms:
+        lift = lift_arms(inst.arms)
+        lift.flags.writeable = False
+        _last_lift[:] = inst.arms, lift
+    return lift
+
+
 def greedy_spanning_subset(vectors: np.ndarray, size: int) -> list[int]:
     """Pick up to ``size`` rows by greedy orthogonal-residual pivoting.
 
     Each step takes the row with the largest residual norm after projecting
-    out the rows already chosen, which keeps the chosen system well
-    conditioned without a combinatorial subset search. Stops early once
-    every residual is below ``1e-20`` times the largest squared row norm.
-    Working memory: one residual copy and one update buffer of the input.
-    """
-    resid = np.array(vectors, dtype=np.float64)
-    update = np.empty_like(resid)
-    norms = np.einsum("ij,ij->i", resid, resid)
+    out the rows already chosen (column-pivoted QR, Businger & Golub 1965).
+    As in LAPACK's ``dgeqp3`` the squared norms are downdated by one gemv a
+    step, but they bottom out near ``k eps`` of the largest and cannot reveal
+    rank (Drmac & Bujanovic 2008): so when the pivot's residual (CGS2) is below
+    ``1e-20`` times the largest squared row norm, every residual norm is
+    recomputed, and the loop stops only if none is above that floor."""
+    vecs = np.asarray(vectors, dtype=np.float64)
+    norms = np.einsum("ij,ij->i", vecs, vecs)
     floor = 1e-20 * max(float(norms.max()), 1e-300)
+    basis = np.empty((min(size, *vecs.shape), vecs.shape[1]))  # rank bounds the picks
     chosen: list[int] = []
-    for _ in range(size):
-        idx = int(np.argmax(norms))
-        if norms[idx] <= floor:
-            break
+    for k in range(size):
+        idx, q = int(np.argmax(norms)), basis[:k]
+        resid = vecs[idx] - (vecs[idx] @ q.T) @ q
+        resid -= (resid @ q.T) @ q
+        if resid @ resid <= floor:
+            exact = vecs - (vecs @ q.T) @ q
+            exact -= (exact @ q.T) @ q
+            norms = np.einsum("ij,ij->i", exact, exact)
+            idx = int(np.argmax(norms))
+            if norms[idx] <= floor:
+                break
+            resid = exact[idx]
         chosen.append(idx)
-        q = resid[idx] / math.sqrt(norms[idx])
-        resid -= np.multiply.outer(resid @ q, q, out=update)
-        np.einsum("ij,ij->i", resid, resid, out=norms)
+        basis[k] = resid / math.sqrt(resid @ resid)
+        norms -= (vecs @ basis[k]) ** 2
     return chosen
 
 
@@ -283,10 +303,9 @@ class HeteroInstance:
 
     @cached_property
     def lift_spanning_subset(self) -> tuple[int, ...]:
-        """Indices of up to d(d+1)/2 arms whose lifts greedily span the lift
-        space, computed once per instance; the lifts themselves are not kept."""
+        """Indices of up to d(d+1)/2 arms whose lifts greedily span the lift space, computed once."""
         d = self.dimension
-        return tuple(greedy_spanning_subset(lift_arms(self.arms), d * (d + 1) // 2))
+        return tuple(greedy_spanning_subset(instance_lift(self), d * (d + 1) // 2))
 
     def arm_variances(self) -> np.ndarray:
         """True per-arm noise variances x' Sigma x (the stored, frozen array)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,12 +109,11 @@ class RunConfig:
             raise ValueError("max_rounds must be at least 1")
 
 
-def _difference_directions(targets: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Unordered pairwise differences of the active targets."""
-    pts = targets[active]
-    m = pts.shape[0]
+@lru_cache(maxsize=16)  # read-only pair indices, built once per active-set size
+def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     iu, ju = np.triu_indices(m, k=1)
-    return pts[iu] - pts[ju]
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
 def round_budget(epsilon: float, design_value: float, n_targets: int, delta: float, ell: int, scale: float) -> float:
@@ -162,9 +162,11 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
             non_terminated = True
             break
 
-        directions = (
-            _difference_directions(Z, active) if task.objective == "bai" else Z[active]
-        )
+        if task.objective == "bai":  # unordered pairwise differences of the active targets
+            iu, ju = _pair_indices(active.size)
+            directions = Z[active[iu]] - Z[active[ju]]
+        else:
+            directions = Z[active]
         design = solve_design(
             DesignProblem(
                 inst.arms,

@@ -38,7 +38,7 @@ from .core import (
     RankDeficientLift,
     VarianceEstimate,
     fit_arm_sums,
-    lift_arms,
+    instance_lift,
     solve_psd,  # not called here; bench/probe.py counts calls through this name
     unvech,
 )
@@ -111,8 +111,7 @@ def head_estimate(
     if gamma < 2:
         raise InsufficientBudget(f"budget {gamma} cannot be split across two stages")
     half = gamma // 2
-    X = inst.arms
-    phi = lift_arms(X)
+    X, phi = inst.arms, instance_lift(inst)
     env1, env2 = env.split(2)
 
     des1 = solve_design(DesignProblem(X, X, tolerance=fw_tol))
@@ -155,8 +154,7 @@ def uniform_estimate(
     """
     if gamma < 1:
         raise InsufficientBudget("uniform estimator needs at least one sample")
-    X = inst.arms
-    phi = lift_arms(X)
+    X, phi = inst.arms, instance_lift(inst)
     pick_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
     counts = pick_rng.multinomial(gamma, np.full(inst.n_arms, 1.0 / inst.n_arms))
     schedule = RoundSchedule(tuple(counts.tolist()))
@@ -178,7 +176,7 @@ def separate_arm_estimate(
     well-conditioned square system, and regresses each arm's centred sum of
     squares on its lift, which solves the square system of sample variances.
     """
-    phi = lift_arms(inst.arms)
+    phi = instance_lift(inst)
     m_dim = phi.shape[1]
     chosen = list(inst.lift_spanning_subset)
     if len(chosen) < m_dim:

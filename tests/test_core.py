@@ -64,6 +64,11 @@ class TestLift:
         with pytest.raises(DimensionMismatch):
             lift_arms(np.ones((2, 2, 2)))
 
+    @pytest.mark.parametrize("arms", [np.array([]), np.ones((3, 0))])
+    def test_lift_rejects_empty_arm(self, arms):
+        with pytest.raises(DimensionMismatch):
+            lift_arms(arms)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_vech_roundtrip(self, d, seed):
@@ -193,7 +198,7 @@ def _greedy_reference(vectors, size):
 
 
 class TestGreedySpanningSubset:
-    """The in-place pivoting picks exactly the reference loop's rows."""
+    """The downdated-norm pivoting picks exactly the reference loop's rows."""
 
     @staticmethod
     def assert_matches(vectors, size, expected_len):
@@ -203,7 +208,7 @@ class TestGreedySpanningSubset:
         assert len(got) == expected_len
         assert np.array_equal(vectors, before)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, *range(3000, 3010)])
     def test_varest_lift(self, seed):
         inst = build_varest_instance({**PRESET_DEFAULTS["varest"], "d": 15}, seed)
         phi = lift_arms(inst.arms)
@@ -220,6 +225,39 @@ class TestGreedySpanningSubset:
     def test_size_above_rank(self):
         vectors = np.random.default_rng(8).standard_normal((12, 5))
         self.assert_matches(vectors, 9, 5)
+
+    @pytest.mark.parametrize("rank", [10, 40])
+    def test_wide_low_rank_stops_at_rank(self, rank):
+        rng = np.random.default_rng(rank)
+        vectors = rng.standard_normal((500, rank)) @ rng.standard_normal((rank, 120))
+        self.assert_matches(vectors, 120, rank)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_graded_rows_take_the_exact_recompute(self, monkeypatch, seed):
+        # Row norms run from 1e-6 to 1. Every row lies in one 40-dimensional
+        # subspace, except that the 50 smallest reach 20 more directions with
+        # a relative weight of 1e-3. After 40 picks the downdated norms of the
+        # large rows (rounding, about k eps) outrank the small rows' exact
+        # squared residuals (2e-19 to 6e-18), so pick 41 goes through the exact
+        # recompute, and with a size above the rank the loop stops through it.
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((500, 40)) @ rng.standard_normal((40, 60))
+        small = vectors[:50]
+        small += 1e-3 * np.linalg.norm(small, axis=1, keepdims=True) * rng.standard_normal((50, 60)) / np.sqrt(60)
+        vectors *= (np.geomspace(1e-6, 1, 500) / np.linalg.norm(vectors, axis=1))[:, None]
+        einsum, norm_passes = np.einsum, []
+
+        def counting(*args, **kwargs):
+            norm_passes.append(args[0])
+            return einsum(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "einsum", counting)
+            greedy_spanning_subset(vectors, 80)
+        # One pass for the input's row norms, one exact recompute that goes
+        # on at pick 41 and one that stops the loop.
+        assert norm_passes == ["ij,ij->i"] * 3
+        self.assert_matches(vectors, 80, 60)
 
 
 class TestFitArmSums:

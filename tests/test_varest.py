@@ -6,6 +6,7 @@ import pytest
 from hetbandit import (
     DEFAULT_C_PRIME,
     Environment,
+    ExperimentConfig,
     HeteroInstance,
     IdentTask,
     InsufficientBudget,
@@ -15,9 +16,11 @@ from hetbandit import (
     head_estimate,
     hrage_run,
     mae,
+    run_suite,
     separate_arm_estimate,
     uniform_estimate,
 )
+from hetbandit import core
 from hetbandit.core import greedy_spanning_subset, lift_arms, solve_psd, vech
 from hetbandit.presets import PRESET_DEFAULTS, build_varest_instance
 
@@ -214,6 +217,28 @@ class TestSeparateArm:
         held = [*vars(inst).values(), *(getattr(env, name) for name in env.__slots__)]
         m_dim = d * (d + 1) // 2
         assert not [a for a in held if isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[1] == m_dim]
+
+    def test_one_lift_per_replication(self, monkeypatch):
+        # One replication of the benchmark's varest workload: the estimator
+        # cells and the separate-arm subset all read one cached lift, and the
+        # cache keeps that lift and its arms array, not the instance.
+        lift, calls = core.lift_arms, []
+
+        def counting(arms):
+            calls.append(arms)
+            return lift(arms)
+
+        monkeypatch.setattr(core, "lift_arms", counting)
+        monkeypatch.setattr(core, "_last_lift", [None, None])
+        config = ExperimentConfig("varest", replications=1, base_seed=11,
+                                  overrides={"d": 15, "budgets": (10_000, 40_000, 95_000)})
+        rows, failed = run_suite(config)
+        assert not failed
+        assert sum(not row.split(",")[2] == "summary" for row in rows) == 9
+        assert len(calls) == 1
+        arms, lifted = core._last_lift
+        assert not isinstance(arms, HeteroInstance) and arms is calls[0] and arms.shape == (500, 15)
+        assert lifted.shape == (500, 120) and not lifted.flags.writeable
 
 
 class TestMae:
