@@ -10,13 +10,13 @@ when it is solved, never on a memo hit: the uniform design has ``A = I``.
 Self-evaluating problems with one common variance have a known optimum (the
 span dimension times the variance), which multiplicative D-optimal updates
 approach. Everything else goes to one engine: exponentiated gradient on a
-mixture of the evaluation vectors, run on the floored design
-``(1 - eta) lam + eta / n`` with ``eta = tolerance / 3``. Its ``A`` stays
-between ``eta I`` and ``n I``, so the dual bound is formed at every step
-with no condition gate; scaled by ``1 - eta`` it bounds the original optimum,
-so a design returned ``certified`` is within ``tolerance`` of it. Pruned
-unfloored weights, valued like every candidate through the pseudo-inverse,
-are returned whenever they certify too, so designs stay sparse.
+mixture of the evaluation vectors, whose design steps end by a gap rule, run
+on the floored design ``(1 - eta) lam + eta / n`` with ``eta = tolerance / 3``.
+Its ``A`` stays between ``eta I`` and ``n I``, so the dual bound is formed at
+every step with no condition gate; scaled by ``1 - eta`` it bounds the
+original optimum, so a design returned ``certified`` is within ``tolerance``
+of it. Pruned unfloored weights, valued like every candidate through the
+pseudo-inverse, are returned whenever they certify, so designs stay sparse.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .core import (
 )
 
 PRUNE_THRESHOLD = 1e-7
-# Damped multiplicative design steps per mixture step of the engine.
-INNER_STEPS = 5
 
 logger = logging.getLogger("hetbandit")
 
@@ -54,9 +52,9 @@ class DesignProblem:
 
     ``variances`` are per-sample noise variances dividing each outer product
     (all ones for the unweighted problem); ``max_iters`` caps the engine's
-    mixture steps. Construction checks shapes, signs and the tolerance, keeps
-    read-only copies of the arrays and takes the memo digest; the solve
-    checks the span (:func:`_whiten`).
+    design and mixture steps together. Construction checks shapes, signs and
+    the tolerance, keeps read-only copies of the arrays and takes the memo
+    digest; the solve checks the span (:func:`_whiten`).
     """
 
     sample_vectors: np.ndarray
@@ -146,8 +144,8 @@ def _d_optimal_warmstart(X, prec, target, tolerance, iters=3000):
 
 def _floored_eg_solve(X, V, prec, tolerance, max_steps):
     """Exponentiated-gradient ascent on the evaluation mixture ``mu``, with
-    ``INNER_STEPS`` damped multiplicative design steps per mixture step, on
-    the floored design ``lam_eff = (1 - eta) lam + eta / n``.
+    damped multiplicative design steps, on the floored design
+    ``lam_eff = (1 - eta) lam + eta / n``.
 
     For ``M = sum_m mu_m v_m v_m'`` and ``t_x = prec_x x' A^-1 M A^-1 x`` at
     ``lam_eff``, linearizing ``phi = tr(M A^-1)`` in ``lam`` bounds the floored
@@ -156,46 +154,48 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
     ``1 - eta`` times the floored one, so ``(1 - eta)`` times that bound is a
     lower bound on it. With ``X`` whitened by :func:`_whiten`, every floored
     ``A`` lies between about ``eta I`` and ``n I``, so the bound needs no
-    condition gate. One ``np.linalg.solve`` after each design update gives
-    ``C = A^-1 V'``; ``C`` and ``X C`` serve the next update and the bound, and
-    ``t`` is recomputed from ``X C`` when ``mu`` moves. Stops once the best
-    floored value is within ``tolerance`` of the bound, or after ``max_steps``
-    mixture steps; returns the bound and the unfloored weights of the best
-    floored design seen.
+    condition gate. The gap of ``f = max_m v_m' A^-1 v_m`` to the bound has
+    a mixture side ``f - phi``, which only ``mu`` closes, and a design side
+    ``max t - lam . t``: ``lam`` takes a step while the design side exceeds
+    ``(f - phi + tolerance phi) / 2``, and ``mu`` takes one otherwise. One
+    ``np.linalg.solve`` per design step gives ``C = A^-1 V'``, and ``X C``,
+    the quadratic forms and ``f`` from it serve every step until ``lam``
+    moves. Stops once the best floored value is within ``tolerance`` of the
+    bound, or after ``max_steps`` steps of either kind, the last a mixture
+    step; returns the bound and the unfloored weights of the best floored
+    design seen at a mixture step.
     """
     n, m = X.shape[0], V.shape[0]
     eta = tolerance / 3.0
     VT = np.ascontiguousarray(V.T)
+    XpT = (X * prec[:, None]).T
     mu = np.full(m, 1.0 / m)
     lam = np.full(n, 1.0 / n)
     best_bound, best_value, best_lam = -math.inf, math.inf, lam
     C = None
-    for _ in range(max_steps):
-        for step in range(INNER_STEPS + 1):
-            if C is None:
-                A = (X * (((1.0 - eta) * lam + eta / n) * prec)[:, None]).T @ X
-                try:
-                    C = np.linalg.solve(A, VT)
-                except np.linalg.LinAlgError:
-                    return best_bound, best_lam
-                XC = X @ C
-            # t = prec x' A^-1 M A^-1 x as a weighted sum of squares, never negative.
-            t = prec * (XC ** 2 @ mu)
-            lam_t = float(lam @ t)
-            if step == INNER_STEPS or not np.isfinite(lam_t) or lam_t <= 0:
+    for step in range(max_steps):
+        if C is None:
+            try:
+                C = np.linalg.solve((XpT * ((1.0 - eta) * lam + eta / n)) @ X, VT)
+            except np.linalg.LinAlgError:
+                return best_bound, best_lam
+            XC = X @ C
+            quads = np.einsum("mr,rm->m", V, C)
+            f = float(quads.max())
+            if not np.isfinite(f) or f <= 0:
                 break
+        # t = prec x' A^-1 M A^-1 x as a weighted sum of squares, never negative.
+        t = prec * (XC ** 2 @ mu)
+        lam_t = float(lam @ t)
+        phi = float(mu @ quads)
+        gap = float(t.max()) - lam_t
+        if step + 1 < max_steps and lam_t > 0 and gap > 0.5 * (f - phi + tolerance * phi):
             # Square-root damping keeps the fixed point from oscillating.
-            lam = lam * np.sqrt(t / lam_t)
+            lam = lam * np.sqrt(t)
             lam /= lam.sum()
             C = None
-
-        quads = np.einsum("mr,rm->m", V, C)
-        f = float(quads.max())
-        if not np.isfinite(f) or f <= 0:
-            break
-        phi = float(mu @ quads)
-        bound = (1.0 - eta) * (phi - (1.0 - eta) * (float(t.max()) - lam_t))
-        best_bound = max(best_bound, bound)
+            continue
+        best_bound = max(best_bound, (1.0 - eta) * (phi - (1.0 - eta) * gap))
         if f < best_value:
             best_value, best_lam = f, lam
         if best_value <= best_bound * (1.0 + tolerance):
