@@ -7,6 +7,7 @@ arrays at construction so values can be shared across workers.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -160,14 +161,14 @@ def solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gram_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """``(lam, V, delta)``: the eigenpairs ``A'A = V diag(lam) V'`` of an
-    m x p matrix ``A``, from one matmul and one ``eigh``, and their rounding
-    bound. Rounding in ``A'A`` (about ``m eps ||A||_F^2``) and the backward
-    error of ``eigh`` (about ``p eps ||A'A||_2``) sum to at most
-    ``delta = (m + p) eps trace(A'A)``, so by Weyl's inequality each
-    ``s_k(A)^2`` lies within ``delta`` of ``lam_k`` (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 20; Bjorck, Numerical Methods for
-    Least Squares Problems, 2.2): an eigenvalue counts as nonzero exactly
-    when it exceeds ``delta``.
+    m x p matrix ``A`` (one matmul, one ``eigh``; for :func:`quad_forms` and
+    design whitening) and their rounding bound. Rounding in ``A'A`` (about
+    ``m eps ||A||_F^2``) and the backward error of ``eigh`` (about
+    ``p eps ||A'A||_2``) sum to at most ``delta = (m + p) eps trace(A'A)``,
+    so by Weyl's inequality each ``s_k(A)^2`` lies within ``delta`` of
+    ``lam_k`` (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 20; Bjorck, Numerical Methods for Least Squares Problems, 2.2): an
+    eigenvalue counts as nonzero exactly when it exceeds ``delta``.
     """
     gram = A.T @ A
     lam, V = np.linalg.eigh(gram)
@@ -194,19 +195,20 @@ def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:
     with one row ``x_i`` per pull when ``s_i`` sums arm i's targets. Its rank
     cutoff is that regression's, ``rcond = eps * max(sum n_i, p)``.
 
-    With ``A`` the m x p root-weighted pulled rows and ``lam``, ``V`` and
-    ``delta`` from :func:`gram_eigh`, a fit with ``m >= p`` and
-
-        lam_min - delta > max(1e-8 * lam_max, rcond^2 * (lam_max + delta))
-
-    has ``s_min > rcond * s_max`` (the second term), so ``lstsq`` would report
-    full rank, and ``kappa(A)`` near ``1e4`` at most (the first), so the
-    normal-equation error, about ``kappa^2 * eps``, is at most about 2e-8 and
-    one refinement step on the residual ``y - A coef`` brings it to the
-    ``lstsq`` level. That fit returns ``V (V'A'y / lam)`` plus the step, with
-    rank ``p``; all-zero rows fail the strict inequality. Every other fit runs
-    ``lstsq`` with the cutoff above, so rows that span less than the space
-    still give the minimum-norm solution and a rank below ``p``.
+    With ``A`` the m x p root-weighted pulled rows, ``G = A'A``,
+    ``u = trace(G) >= lam_max(G)`` and ``delta`` the Gram rounding bound of
+    :func:`gram_eigh`, a fit with ``m >= p`` tries one Cholesky of ``G - s I``
+    with ``s = delta + max(1e-8 u, rcond^2 (u + delta)) + (p + 1) eps u``.
+    The last term bounds the factorization's backward error (Higham, Accuracy
+    and Stability, Thm 10.3; Rump, BIT 46, 2006), so success proves
+    ``s_min(A)^2 > max(1e-8 lam_max, rcond^2 (lam_max + delta))``: ``lstsq``
+    would report full rank, and ``kappa(A)`` is near ``1e4`` at most, so the
+    normal-equation error, about ``kappa^2 eps``, is at most about 2e-8 and
+    one refinement step on ``y - A coef`` brings it to the ``lstsq`` level.
+    That fit solves ``G coef = A'y`` plus the step, with rank ``p``; all-zero
+    rows fail the factorization. Every other fit runs ``lstsq`` with the
+    cutoff above, so rows that span less than the space still give the
+    minimum-norm solution and a rank below ``p``.
     """
     X = np.asarray(X, dtype=np.float64)
     counts = np.asarray(counts)
@@ -219,10 +221,14 @@ def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:
     (m, p), eps = A.shape, np.finfo(np.float64).eps
     rcond = eps * max(n.sum(), p)
     if m >= p:
-        lam, V, delta = gram_eigh(A)
-        if lam[0] - delta > max(1e-8 * lam[-1], rcond**2 * (lam[-1] + delta)):
-            coef = V @ (V.T @ (A.T @ y) / lam)
-            coef += V @ (V.T @ (A.T @ (y - A @ coef)) / lam)
+        gram = A.T @ A
+        u = float(gram.trace())
+        delta = (m + p) * eps * u
+        shift = delta + max(1e-8 * u, rcond**2 * (u + delta)) + (p + 1) * eps * u
+        with suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram - shift * np.eye(p))
+            coef = np.linalg.solve(gram, A.T @ y)
+            coef += np.linalg.solve(gram, A.T @ (y - A @ coef))
             return coef, p
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=rcond)
     return coef, int(rank)

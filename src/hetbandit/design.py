@@ -88,13 +88,13 @@ class DesignProblem:
 
 
 def _whiten(X: np.ndarray, V: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample and evaluation vectors whitened on the sample span, so the
-    uniform design has ``A = I``. If :func:`~hetbandit.core.gram_eigh` of the
-    rows ``x_i / sqrt(var_i n)`` has ``lam_min > 2 delta``, its eigenvectors
-    over ``sqrt(lam)`` whiten ``A`` to within ``I / 2`` of ``I``. Any other
-    set, rank deficient or beyond what the Gram resolves, takes one SVD of
-    the rows, keeping singular values above ``s_max max(n, d) eps``. Raises
-    :class:`SpanViolation` if an evaluation vector has more than
+    """Sample and evaluation vectors (one array if ``V is X``) whitened on
+    the sample span, so the uniform design has ``A = I``. If ``gram_eigh`` of
+    the rows ``x_i / sqrt(var_i n)`` has ``lam_min > 2 delta``, its
+    eigenvectors over ``sqrt(lam)`` whiten ``A`` to within ``I / 2`` of ``I``.
+    Any other set, rank deficient or beyond what the Gram resolves, takes one
+    SVD of the rows, keeping singular values above ``s_max max(n, d) eps``.
+    Raises :class:`SpanViolation` if an evaluation vector has more than
     ``1e-9 (1 + ||v||)`` outside the span, and ``ValueError`` if it is empty.
     """
     rows = X * np.sqrt(1.0 / (variances * X.shape[0]))[:, None]
@@ -111,25 +111,24 @@ def _whiten(X: np.ndarray, V: np.ndarray, variances: np.ndarray) -> tuple[np.nda
         if np.any(outside > 1e-9 * (1.0 + np.linalg.norm(V, axis=1))):
             raise SpanViolation("evaluation vector outside span of sample vectors")
     whiten = basis / s
-    return X @ whiten, V @ whiten
+    Xw = X @ whiten
+    return Xw, Xw if V is X else V @ whiten
 
 
 def _d_optimal_warmstart(X, prec, target, tolerance, iters=3000):
     """Pure multiplicative updates for constant-variance self-evaluating
-    problems: lam <- lam * score / rank, monotone toward the equivalence
-    optimum. Runs until the minimax value enters the tolerance band."""
+    problems: lam <- lam * prec x'A^-1 x / rank, from one ``inv`` of ``A``
+    per step, monotone toward the equivalence optimum. Runs until the minimax
+    value enters the tolerance band; a singular ``A`` ends it early."""
     n, rank = X.shape
     lam = np.full(n, 1.0 / n)
     best_lam, best_value = lam.copy(), math.inf
     for _ in range(iters):
         A = (X * (lam * prec)[:, None]).T @ X
         try:
-            c = np.linalg.cholesky(A)
+            quads = np.einsum("ij,ij->i", X @ np.linalg.inv(A), X)
         except np.linalg.LinAlgError:
             break
-        # x' A^-1 x is the squared norm of L^-1 x.
-        root = X @ np.linalg.inv(c).T
-        quads = np.einsum("ij,ij->i", root, root)
         f = float(quads.max())
         if not np.isfinite(f) or f <= 0:
             break

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -274,18 +275,25 @@ class TestFitArmSums:
         return coef, rank
 
     @staticmethod
-    def fit_counting_lstsq(monkeypatch, *args):
-        """``fit_arm_sums(*args)`` and the number of ``lstsq`` calls it made."""
-        lstsq, calls = np.linalg.lstsq, []
+    def fit_counting(monkeypatch, *args):
+        """``fit_arm_sums(*args)`` and how many ``lstsq``, ``cholesky`` and
+        ``eigh`` calls it made, by name."""
+        calls = Counter()
 
-        def counting(*a, **k):
-            calls.append(a)
-            return lstsq(*a, **k)
+        def counting(name):
+            kernel = getattr(np.linalg, name)
+
+            def wrapper(*a, **k):
+                calls[name] += 1
+                return kernel(*a, **k)
+
+            return wrapper
 
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "lstsq", counting)
+            for name in ("lstsq", "cholesky", "eigh"):
+                patch.setattr(np.linalg, name, counting(name))
             coef, rank = fit_arm_sums(*args)
-        return coef, rank, len(calls)
+        return coef, rank, calls
 
     @staticmethod
     def assert_matches(coef, rank, ref_coef, ref_rank):
@@ -312,7 +320,7 @@ class TestFitArmSums:
         ys = rng.standard_normal(idx.size)
         sums = np.bincount(idx, weights=ys, minlength=n_arms)
 
-        coef, rank, lstsq_calls = self.fit_counting_lstsq(
+        coef, rank, calls = self.fit_counting(
             monkeypatch, X, counts, sums, precision if weighted else None
         )
         ref_coef, ref_rank = self.per_pull(X, counts, ys, precision)
@@ -320,7 +328,7 @@ class TestFitArmSums:
         assert rank == ref_rank
         if support_rank is not None:
             assert rank == support_rank
-            assert lstsq_calls == 1
+            assert calls["lstsq"] == 1
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_lifted_size_multinomial_counts(self, monkeypatch, weighted):
@@ -334,12 +342,13 @@ class TestFitArmSums:
         ys = rng.standard_normal(idx.size) ** 2
         sums = np.bincount(idx, weights=ys, minlength=500)
 
-        coef, rank, lstsq_calls = self.fit_counting_lstsq(
+        coef, rank, calls = self.fit_counting(
             monkeypatch, phi, counts, sums, precision if weighted else None
         )
         self.assert_matches(coef, rank, *self.per_pull(phi, counts, ys, precision))
         assert rank == phi.shape[1]
-        assert lstsq_calls == 0
+        # One Cholesky proves the lifted fit full rank; no eigendecomposition.
+        assert calls == {"cholesky": 1}
 
     @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6, 1e9, 1e12])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -358,15 +367,70 @@ class TestFitArmSums:
         X = rows / np.sqrt(precision)[:, None]
         ys = rng.standard_normal(m)
 
-        coef, rank, lstsq_calls = self.fit_counting_lstsq(
+        coef, rank, calls = self.fit_counting(
             monkeypatch, X, counts, ys, precision if weighted else None
         )
         self.assert_matches(coef, rank, *self.per_pull(X, counts, ys, precision))
         assert rank == p
         if kappa <= 1e3:
-            assert lstsq_calls == 0
+            assert calls["lstsq"] == 0
         if kappa >= 1e9:
-            assert lstsq_calls == 1
+            assert calls["lstsq"] == 1
+
+    def test_cholesky_certificate_implies_eigenvalue_certificate(self, monkeypatch):
+        # Root-weighted rows whose Gram condition number is log-uniform in
+        # [1e5, 1e9], across the 1e8 cutoff. Every fit that the shifted
+        # Cholesky accepts (no lstsq) must pass the eigenvalue inequality
+        # that certified fits before it, checked here on eigvalsh of the same
+        # Gram: lam_min - delta > max(1e-8 lam_max, rcond^2 (lam_max + delta)).
+        rng = np.random.default_rng(99)
+        eps = np.finfo(np.float64).eps
+        accepted = rejected = 0
+        for _ in range(240):
+            p = int(rng.choice([3, 8, 30, 120]))
+            m = p + int(rng.integers(0, 3 * p))
+            kappa = 10.0 ** rng.uniform(2.5, 4.5)
+            sing = np.sort(np.exp(rng.uniform(-np.log(kappa), 0.0, p)))[::-1]
+            sing[[0, -1]] = 1.0, 1.0 / kappa
+            left = np.linalg.qr(rng.standard_normal((m, p)))[0]
+            right = np.linalg.qr(rng.standard_normal((p, p)))[0]
+            counts = rng.integers(1, 6, m)
+            precision = rng.uniform(0.2, 5.0, m)
+            w = counts * precision
+            X = (left * sing) @ right.T / np.sqrt(w)[:, None]
+            sums = rng.standard_normal(m) * counts
+
+            coef, rank, calls = self.fit_counting(monkeypatch, X, counts, sums, precision)
+            A = X * np.sqrt(w)[:, None]
+            gram = A.T @ A
+            if calls["lstsq"]:
+                rejected += 1
+                continue
+            accepted += 1
+            lam = np.linalg.eigvalsh(gram)
+            delta = (m + p) * eps * np.trace(gram)
+            rcond = eps * max(counts.sum(), p)
+            assert lam[0] - delta > max(1e-8 * lam[-1], rcond**2 * (lam[-1] + delta))
+            assert rank == p
+            ref = np.linalg.lstsq(A, sums / counts * np.sqrt(w), rcond=rcond)[0]
+            assert np.linalg.norm(coef - ref) <= 1e-8 * np.linalg.norm(ref)
+        assert accepted >= 40 and rejected >= 40
+
+    def test_all_zero_rows_and_wide_fits_take_lstsq(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        counts = np.array([2, 3, 1, 4, 2])
+        sums = rng.standard_normal(5) * counts
+        # All-zero rows: the Cholesky of the shifted zero Gram fails.
+        coef, rank, calls = self.fit_counting(monkeypatch, np.zeros((5, 3)), counts, sums)
+        assert calls == {"cholesky": 1, "lstsq": 1}
+        assert rank == 0 and not coef.any()
+        # Fewer pulled arms than columns: lstsq at once, minimum-norm.
+        X = rng.standard_normal((5, 8))
+        coef, rank, calls = self.fit_counting(monkeypatch, X, counts, sums)
+        assert calls == {"lstsq": 1}
+        assert rank == 5
+        ys = np.repeat(sums / counts, counts)
+        self.assert_matches(coef, rank, *self.per_pull(X, counts, ys, np.ones(5)))
 
 
 class TestClampVariance:

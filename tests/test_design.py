@@ -24,10 +24,13 @@ from hetbandit import design as design_module
 from hetbandit.core import Design, SingularInformation, fit_arm_sums, lift_arms, quad_forms
 from hetbandit.design import (
     MEMO_SIZE,
+    _d_optimal_warmstart,
     _floored_eg_solve,
     _solve_design,
     _whiten,
 )
+from hetbandit.presets import PRESET_DEFAULTS, build_varest_instance
+from hetbandit.varest import DEFAULT_FW_TOL
 
 
 def kw_problem(arms, tolerance=1e-3):
@@ -315,6 +318,70 @@ class TestFlooredEngine:
                 assert eta * (1 - 1e-9) <= eig[0] and eig[-1] <= n * (1 + 1e-9)
 
 
+def cholesky_inverse_warmstart(X, prec, target, tolerance, iters=3000):
+    """Reference: the D-optimal warm start as it stood before it inverted
+    ``A`` directly. Each iteration reads ``x' A^-1 x`` as the squared norm of
+    ``L^-1 x``, from the Cholesky factor ``L`` of ``A`` and its triangular
+    inverse. Returns the weights and the number of iterations."""
+    n, rank = X.shape
+    lam = np.full(n, 1.0 / n)
+    best_lam, best_value = lam.copy(), math.inf
+    steps = 0
+    for _ in range(iters):
+        A = (X * (lam * prec)[:, None]).T @ X
+        try:
+            c = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            break
+        steps += 1
+        root = X @ np.linalg.inv(c).T
+        quads = np.einsum("ij,ij->i", root, root)
+        f = float(quads.max())
+        if not np.isfinite(f) or f <= 0:
+            break
+        if f < best_value:
+            best_value, best_lam = f, lam.copy()
+            if best_value <= target * (1.0 + 0.8 * tolerance):
+                break
+        lam = lam * (prec * quads) / rank
+        lam /= lam.sum()
+    return best_lam, steps
+
+
+class TestDOptimalWarmstart:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("lifted", [False, True])
+    @pytest.mark.parametrize("tolerance", [DEFAULT_FW_TOL, 1e-3])
+    def test_matches_cholesky_inverse_reference(self, monkeypatch, seed, lifted, tolerance):
+        # HEAD's two D-optimal problems at d=15: the 500 arms and their
+        # 120-column lifts, whitened as the solve whitens them.
+        arms = build_varest_instance({**PRESET_DEFAULTS["varest"], "d": 15}, seed).arms
+        rows = lift_arms(arms) if lifted else arms
+        X, _ = _whiten(rows, rows, np.ones(rows.shape[0]))
+        prec, target = np.ones(X.shape[0]), float(X.shape[1])
+        ref_lam, ref_steps = cholesky_inverse_warmstart(X, prec, target, tolerance)
+        calls = []
+
+        def counting(name):
+            kernel = getattr(np.linalg, name)
+
+            def wrapper(a):
+                calls.append(name)
+                return kernel(a)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in ("inv", "cholesky"):
+                patch.setattr(np.linalg, name, counting(name))
+            lam = _d_optimal_warmstart(X, prec, target, tolerance)
+        # One inverse of A and no factor per iteration, and as many
+        # iterations as the reference.
+        assert calls == ["inv"] * ref_steps
+        np.testing.assert_allclose(lam, ref_lam, rtol=1e-12, atol=0)
+        assert (lam >= 0).all()
+
+
 def example1_round_problem(active_rows, variances=None, tolerance=1e-2):
     """An H-RAGE round on example1: difference directions of the active arms,
     with the burn-in variance estimates of one run as weights."""
@@ -385,6 +452,19 @@ class TestSolvePaths:
         arms = np.random.default_rng(10).standard_normal((6, 2))
         with pytest.raises(EngineCalled):
             _solve_design(DesignProblem(arms, arms, variances=np.linspace(0.5, 2.0, 6)))
+
+    def test_self_evaluating_problem_whitens_one_array(self):
+        # V is X: one product with the whitening map serves both sides, on
+        # the Gram path (full rank) and on the SVD path (rank 2 in R^3).
+        rng = np.random.default_rng(11)
+        variances = rng.uniform(0.5, 2.0, 8)
+        for arms in (rng.standard_normal((8, 3)), rng.standard_normal((8, 2)) @ rng.standard_normal((2, 3))):
+            X, V = _whiten(arms, arms, variances)
+            assert V is X
+            X_copy, V_copy = _whiten(arms, arms.copy(), variances)
+            assert V_copy is not X_copy
+            np.testing.assert_array_equal(X_copy, X)
+            np.testing.assert_array_equal(V_copy, X)
 
     def test_sparse_weights_returned_when_they_certify(self):
         # The single-direction problem has a singular optimum: all weight on e1.

@@ -21,7 +21,7 @@ from hetbandit import (
     uniform_estimate,
 )
 from hetbandit import core
-from hetbandit.core import greedy_spanning_subset, lift_arms, solve_psd, vech
+from hetbandit.core import greedy_spanning_subset, lift_arms, vech
 from hetbandit.presets import PRESET_DEFAULTS, build_varest_instance
 
 
@@ -302,7 +302,7 @@ def _per_pull_head(inst, draws):
     X, phi = inst.arms, lift_arms(inst.arms)
     (idx1, y1), (idx2, y2) = draws
     rows1 = X[idx1]
-    theta = solve_psd(rows1.T @ rows1, rows1.T @ y1)
+    theta = np.linalg.solve(rows1.T @ rows1, rows1.T @ y1)
     resid_sq = (y2 - X[idx2] @ theta) ** 2
     coeffs, _, rank, _ = np.linalg.lstsq(phi[idx2], resid_sq, rcond=None)
     return theta, coeffs, rank < phi.shape[1], False
@@ -314,12 +314,12 @@ def _per_pull_uniform(inst, draws):
     rows = X[idx]
     gram = rows.T @ rows
     ridge_used = np.linalg.matrix_rank(gram) < inst.dimension
-    theta = solve_psd(gram, rows.T @ ys)
+    theta = np.linalg.solve(gram, rows.T @ ys)
     lrows = phi[idx]
     resid_sq = (ys - rows @ theta) ** 2
     lgram = lrows.T @ lrows
     rank_deficient = np.linalg.matrix_rank(lgram) < phi.shape[1]
-    coeffs = solve_psd(lgram, lrows.T @ resid_sq)
+    coeffs = np.linalg.solve(lgram, lrows.T @ resid_sq)
     return theta, coeffs, rank_deficient, ridge_used or rank_deficient
 
 
