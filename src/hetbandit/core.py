@@ -331,8 +331,8 @@ class Design:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
-        if np.any(w < 0):
-            raise ValueError("design weights must be nonnegative")
+        if not np.all((w >= 0) & (w < np.inf)):
+            raise ValueError("design weights must be finite and nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("design weights must sum to one")
         object.__setattr__(self, "weights", _frozen(w))

@@ -7,11 +7,12 @@ the sample vectors (transductive case) but must lie in their span.
 
 No invertible map of the space changes that value, so a problem is whitened
 when it is solved, never on a memo hit: the uniform design has ``A = I``.
-Self-evaluating problems with one common variance have a known optimum (the
-span dimension times the variance), which multiplicative D-optimal updates
-approach. Everything else goes to one engine: exponentiated gradient on a
-mixture of the evaluation vectors, whose design steps end by a gap rule, run
-on the floored design ``(1 - eta) lam + eta / n`` with ``eta = tolerance / 3``.
+Self-evaluating problems with one common variance have a known optimum, the
+span dimension times the variance (Kiefer & Wolfowitz), which multiplicative
+D-optimal updates approach monotonically and certify against by themselves.
+Everything else goes to one engine: exponentiated gradient on a mixture of
+the evaluation vectors, whose design steps end by a gap rule, run on the
+floored design ``(1 - eta) lam + eta / n`` with ``eta = tolerance / 3``.
 Its ``A`` stays between ``eta I`` and ``n I``, so the dual bound is formed at
 every step with no condition gate; scaled by ``1 - eta`` it bounds the
 original optimum, so a design returned ``certified`` is within ``tolerance``
@@ -51,10 +52,11 @@ class DesignProblem:
     """A minimax design problem over a finite sample set.
 
     ``variances`` are per-sample noise variances dividing each outer product
-    (all ones for the unweighted problem); ``max_iters`` caps the engine's
-    design and mixture steps together. Construction checks shapes, signs and
-    the tolerance, keeps read-only copies of the arrays and takes the memo
-    digest; the solve checks the span (:func:`_whiten`).
+    (all ones for the unweighted problem); ``max_iters`` caps the D-optimal
+    updates, or the engine's design and mixture steps together. Construction
+    checks shapes, signs and the tolerance, keeps read-only copies of the
+    arrays and takes the memo digest; the solve checks the span
+    (:func:`_whiten`).
     """
 
     sample_vectors: np.ndarray
@@ -76,10 +78,10 @@ class DesignProblem:
             w = _frozen(self.variances)
             if w.shape != (X.shape[0],):
                 raise DimensionMismatch("one variance per sample vector required")
-            if np.any(w <= 0):
-                raise ValueError("variances must be strictly positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+            if not np.all((w > 0) & (w < np.inf)):
+                raise ValueError("variances must be finite and strictly positive")
+        if not 0 < self.tolerance < 1:
+            raise ValueError("tolerance must lie in (0, 1)")
         object.__setattr__(self, "sample_vectors", X)
         object.__setattr__(self, "eval_vectors", V)
         object.__setattr__(self, "variances", w)
@@ -115,15 +117,17 @@ def _whiten(X: np.ndarray, V: np.ndarray, variances: np.ndarray) -> tuple[np.nda
     return Xw, Xw if V is X else V @ whiten
 
 
-def _d_optimal_warmstart(X, prec, target, tolerance, iters=3000):
-    """Pure multiplicative updates for constant-variance self-evaluating
-    problems: lam <- lam * prec x'A^-1 x / rank, from one ``inv`` of ``A``
-    per step, monotone toward the equivalence optimum. Runs until the minimax
-    value enters the tolerance band; a singular ``A`` ends it early."""
+def _d_optimal_solve(X, prec, target, tolerance, max_iters):
+    """Multiplicative updates for constant-variance self-evaluating problems:
+    lam <- lam * prec x'A^-1 x / rank, from one ``inv`` of ``A`` per step,
+    monotone toward the equivalence optimum ``target``. Runs until the
+    minimax value enters the band ``target (1 + 0.8 tolerance)`` or for
+    ``max_iters`` steps; a singular ``A`` ends it early. Returns the best
+    weights seen."""
     n, rank = X.shape
     lam = np.full(n, 1.0 / n)
     best_lam, best_value = lam.copy(), math.inf
-    for _ in range(iters):
+    for _ in range(max_iters):
         A = (X * (lam * prec)[:, None]).T @ X
         try:
             quads = np.einsum("ij,ij->i", X @ np.linalg.inv(A), X)
@@ -249,15 +253,17 @@ def solve_design(problem: DesignProblem) -> Design:
 
 
 def _solve_design(problem: DesignProblem) -> Design:
-    """Certified minimax design; see the module docstring for the engines.
+    """Certified minimax design; see the module docstring for the solvers.
 
-    Candidates, each valued ``max_v v' A(lam)^+ v`` by :func:`quad_forms`
-    (infinite if ``V`` leaves the range of ``A``): the D-optimal weights
-    where that path applies, the engine's weights pruned below
-    ``PRUNE_THRESHOLD``, then its floored design. The first within
-    ``tolerance`` of the bound is returned ``certified``; otherwise the best,
-    uncertified, with a warning of its gap ``value / bound - 1`` logged.
-    Raises :class:`SpanViolation` or ``ValueError`` from :func:`_whiten`.
+    Each problem class has one solver, one bound and two candidates, each
+    valued ``max_v v' A(lam)^+ v`` by :func:`quad_forms` (infinite if ``V``
+    leaves the range of ``A``): the solver's weights pruned below
+    ``PRUNE_THRESHOLD``, then the D-optimal weights unpruned against the
+    bound ``rank * variance``, or the engine's floored design against its
+    dual bound. The first within ``tolerance`` of the bound is returned
+    ``certified``; otherwise the better, uncertified, with a warning of its
+    gap ``value / bound - 1`` logged. Raises :class:`SpanViolation` or
+    ``ValueError`` from :func:`_whiten`.
     """
     X, V = _whiten(problem.sample_vectors, problem.eval_vectors, problem.variances)
     prec = 1.0 / problem.variances
@@ -265,30 +271,21 @@ def _solve_design(problem: DesignProblem) -> Design:
     if V.shape[0] == 0:
         raise ValueError("need at least one evaluation vector")
     tol = problem.tolerance
-    bound = -math.inf
-    tried: list[Design] = []
-
-    def attempt(lam: np.ndarray) -> bool:
-        value = float(quad_forms(X, V, lam * prec).max())
-        tried.append(Design(weights=lam, value=value, certified=value <= bound * (1.0 + tol)))
-        return tried[-1].certified
-
-    def pruned(lam: np.ndarray) -> np.ndarray:
-        lam = np.where(lam < PRUNE_THRESHOLD, 0.0, lam)
-        return lam / lam.sum()
-
     variance = float(problem.variances[0])
     if problem._self_eval and np.all(problem.variances == variance):
         bound = r * variance
-        lam = _d_optimal_warmstart(X, prec, bound, tol, iters=min(3000, problem.max_iters))
-        if attempt(pruned(lam)):
+        lam = fallback = _d_optimal_solve(X, prec, bound, tol, problem.max_iters)
+    else:
+        bound, lam = _floored_eg_solve(X, V, prec, tol, problem.max_iters)
+        eta = tol / 3.0
+        fallback = (1.0 - eta) * lam + eta / n
+    pruned = np.where(lam < PRUNE_THRESHOLD, 0.0, lam)
+    tried: list[Design] = []
+    for weights in (pruned / pruned.sum(), fallback):
+        value = float(quad_forms(X, V, weights * prec).max())
+        tried.append(Design(weights=weights, value=value, certified=value <= bound * (1.0 + tol)))
+        if tried[-1].certified:
             return tried[-1]
-
-    eg_bound, lam = _floored_eg_solve(X, V, prec, tol, problem.max_iters)
-    bound = max(bound, eg_bound)
-    eta = tol / 3.0
-    if attempt(pruned(lam)) or attempt((1.0 - eta) * lam + eta / n):
-        return tried[-1]
     design = min(tried, key=lambda d: d.value)
     logger.warning(
         "design solve not certified within %d steps: value %.6g, bound %.6g, gap %.3g",

@@ -42,6 +42,8 @@ class IdentTask:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+        if not abs(self.alpha) < math.inf:
+            raise ValueError("alpha must be finite")
         values = self.instance.target_values()
         if self.objective == "bai":
             order = np.sort(values)[::-1]
@@ -103,8 +105,10 @@ class RunConfig:
     max_rounds: int = 40
 
     def __post_init__(self):
-        if not self.fw_tol > 0:
-            raise ValueError("fw_tol must be positive")
+        if not 0 < self.c_prime < math.inf:
+            raise ValueError("c_prime must be finite and positive")
+        if not 0 < self.fw_tol < 1:
+            raise ValueError("fw_tol must lie in (0, 1)")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
 

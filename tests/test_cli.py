@@ -408,6 +408,7 @@ class TestCliMain:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("setting", [
         "c_prime=abc", "max_rounds=abc", "max_rounds=0", "max_rounds=-1", "fw_tol=0", "fw_tol=-1",
+        "c_prime=nan", "c_prime=inf", "fw_tol=inf", "fw_tol=1e308",
     ])
     def test_bad_run_setting_exits_2(self, tmp_path, capsys, setting, jobs):
         code = main([

@@ -24,7 +24,7 @@ from hetbandit import design as design_module
 from hetbandit.core import Design, SingularInformation, fit_arm_sums, lift_arms, quad_forms
 from hetbandit.design import (
     MEMO_SIZE,
-    _d_optimal_warmstart,
+    _d_optimal_solve,
     _floored_eg_solve,
     _solve_design,
     _whiten,
@@ -35,6 +35,20 @@ from hetbandit.varest import DEFAULT_FW_TOL
 
 def kw_problem(arms, tolerance=1e-3):
     return DesignProblem(arms, arms, tolerance=tolerance)
+
+
+class EngineCalled(Exception):
+    pass
+
+
+@pytest.fixture
+def refuse_engine(monkeypatch):
+    """Replaces the transductive engine by a stub that fails on any call."""
+
+    def refuse(*args):
+        raise EngineCalled
+
+    monkeypatch.setattr(design_module, "_floored_eg_solve", refuse)
 
 
 class TestSolveDesign:
@@ -138,14 +152,14 @@ class TestSolveDesign:
         assert _solve_design(DesignProblem(squeezed, squeezed)).value == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.uncertified
-    def test_non_certified_flag_on_iteration_cap(self):
+    def test_non_certified_flag_on_iteration_cap(self, refuse_engine):
         rng = np.random.default_rng(2)
         arms = rng.standard_normal((15, 4))
         design = solve_design(DesignProblem(arms, arms, tolerance=1e-9, max_iters=3))
         assert not design.certified
 
     @pytest.mark.uncertified
-    def test_uncertified_solve_logs_its_gap(self, caplog):
+    def test_uncertified_solve_logs_its_gap(self, caplog, refuse_engine):
         rng = np.random.default_rng(2)
         arms = rng.standard_normal((15, 4))
         with caplog.at_level(logging.WARNING, logger="hetbandit"):
@@ -171,10 +185,15 @@ class TestSolveDesign:
         assert design.support_size == nonzero.size
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            DesignProblem(np.eye(2), np.eye(2), variances=np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            DesignProblem(np.eye(2), np.eye(2), tolerance=0.0)
+        for variances in ([1.0, -1.0], [1.0, math.nan], [1.0, math.inf]):
+            with pytest.raises(ValueError):
+                DesignProblem(np.eye(2), np.eye(2), variances=np.array(variances))
+        for tolerance in (0.0, math.nan, 1.0, math.inf):
+            with pytest.raises(ValueError):
+                DesignProblem(np.eye(2), np.eye(2), tolerance=tolerance)
+        for weights in ([math.nan, 1.0], [math.inf, 1.0]):
+            with pytest.raises(ValueError):
+                Design(weights=weights, value=1.0)
         with pytest.raises(Exception):
             DesignProblem(np.eye(2), np.eye(3))
 
@@ -318,8 +337,8 @@ class TestFlooredEngine:
                 assert eta * (1 - 1e-9) <= eig[0] and eig[-1] <= n * (1 + 1e-9)
 
 
-def cholesky_inverse_warmstart(X, prec, target, tolerance, iters=3000):
-    """Reference: the D-optimal warm start as it stood before it inverted
+def cholesky_inverse_d_optimal(X, prec, target, tolerance, max_iters):
+    """Reference: the D-optimal updates as they stood before they inverted
     ``A`` directly. Each iteration reads ``x' A^-1 x`` as the squared norm of
     ``L^-1 x``, from the Cholesky factor ``L`` of ``A`` and its triangular
     inverse. Returns the weights and the number of iterations."""
@@ -327,7 +346,7 @@ def cholesky_inverse_warmstart(X, prec, target, tolerance, iters=3000):
     lam = np.full(n, 1.0 / n)
     best_lam, best_value = lam.copy(), math.inf
     steps = 0
-    for _ in range(iters):
+    for _ in range(max_iters):
         A = (X * (lam * prec)[:, None]).T @ X
         try:
             c = np.linalg.cholesky(A)
@@ -359,7 +378,8 @@ class TestDOptimalWarmstart:
         rows = lift_arms(arms) if lifted else arms
         X, _ = _whiten(rows, rows, np.ones(rows.shape[0]))
         prec, target = np.ones(X.shape[0]), float(X.shape[1])
-        ref_lam, ref_steps = cholesky_inverse_warmstart(X, prec, target, tolerance)
+        max_iters = DesignProblem.max_iters
+        ref_lam, ref_steps = cholesky_inverse_d_optimal(X, prec, target, tolerance, max_iters)
         calls = []
 
         def counting(name):
@@ -374,7 +394,7 @@ class TestDOptimalWarmstart:
         with monkeypatch.context() as patch:
             for name in ("inv", "cholesky"):
                 patch.setattr(np.linalg, name, counting(name))
-            lam = _d_optimal_warmstart(X, prec, target, tolerance)
+            lam = _d_optimal_solve(X, prec, target, tolerance, max_iters)
         # One inverse of A and no factor per iteration, and as many
         # iterations as the reference.
         assert calls == ["inv"] * ref_steps
@@ -429,26 +449,32 @@ class TestSolveDesignPinned:
         assert design.value == pytest.approx(9.001175676319994, rel=1e-7)
 
 
-class EngineCalled(Exception):
-    pass
-
-
 class TestSolvePaths:
-    def test_d_optimal_skips_the_engine(self, monkeypatch):
-        def refuse(*args):
-            raise EngineCalled
-
-        monkeypatch.setattr(design_module, "_floored_eg_solve", refuse)
+    def test_d_optimal_skips_the_engine(self, refuse_engine):
         arms = np.random.default_rng(6).standard_normal((10, 3))
         design = _solve_design(kw_problem(arms))
         assert design.certified
         assert design.value == pytest.approx(3.0, rel=1e-3)
+        # HEAD's two designs at a tight tolerance, which once ran past a
+        # private cap into the engine: the d=15 arms (500x15) and the d=6
+        # lifts (500x21), each certified against the rank.
+        for rows in (build_varest_instance({**PRESET_DEFAULTS["varest"], "d": 15}, 0).arms,
+                     lift_arms(build_varest_instance({**PRESET_DEFAULTS["varest"], "d": 6}, 0).arms)):
+            design = _solve_design(kw_problem(rows, tolerance=1e-4))
+            assert design.certified
+            assert design.value == pytest.approx(rows.shape[1], rel=1e-4)
 
-    def test_weighted_self_evaluating_uses_the_engine(self, monkeypatch):
-        def refuse(*args):
-            raise EngineCalled
+    def test_unpruned_d_optimal_weights_returned_when_pruned_do_not_certify(self, monkeypatch, refuse_engine):
+        # The optimum puts 1/3 on each axis, so the two copies of e3 share
+        # theirs at 1/6 each; pruning below 1/5 leaves e3 out of the span.
+        monkeypatch.setattr(design_module, "PRUNE_THRESHOLD", 0.2)
+        arms = np.vstack([np.eye(3), [[0.0, 0.0, 1.0]]])
+        design = _solve_design(kw_problem(arms))
+        assert design.certified
+        np.testing.assert_allclose(design.weights, [1 / 3, 1 / 3, 1 / 6, 1 / 6], rtol=1e-3)
+        assert design.value == pytest.approx(3.0, rel=1e-3)
 
-        monkeypatch.setattr(design_module, "_floored_eg_solve", refuse)
+    def test_weighted_self_evaluating_uses_the_engine(self, refuse_engine):
         arms = np.random.default_rng(10).standard_normal((6, 2))
         with pytest.raises(EngineCalled):
             _solve_design(DesignProblem(arms, arms, variances=np.linspace(0.5, 2.0, 6)))

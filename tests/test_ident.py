@@ -119,6 +119,9 @@ class TestTaskAndGap:
             IdentTask("rank", 0.05, inst)
         with pytest.raises(ValueError):
             IdentTask("bai", 0.0, inst)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                IdentTask("ls", 0.05, inst, alpha=alpha)
 
 
 class TestSilentRuns:
