@@ -59,7 +59,11 @@ def _as_matrix(vectors, name="vectors") -> np.ndarray:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
+    """A read-only C-ordered float64 copy of ``arr``, or ``arr`` itself if it is one that owns its data."""
+    if (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.base is None
+            and arr.flags.c_contiguous and not arr.flags.writeable):
+        return arr
+    out = np.array(arr, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out
 
@@ -94,12 +98,12 @@ def lift_arms(arms: np.ndarray) -> np.ndarray:
     """Lift each arm into the d(d+1)/2-dimensional quadratic-form space: row i
     is the ``phi`` with ``phi @ vech(S) == x' S x`` for ``x = arms[i]`` and
     every symmetric ``S`` (diagonal entries of the outer product appear once,
-    off-diagonal ones twice). A single 1-d arm lifts to one row."""
+    off-diagonal ones twice), in C order. A single 1-d arm lifts to one row."""
     arms = _as_matrix(arms, "arms")
     d = arms.shape[1]
     rows, cols = vech_indices(d)
     coeff = np.where(rows == cols, 1.0, 2.0)
-    return arms[:, rows] * arms[:, cols] * coeff
+    return np.take(arms, rows, axis=1) * np.take(arms, cols, axis=1) * coeff
 
 
 _last_lift = [None, None]  # [arms, lift], read and replaced whole; held arms keep a unique identity
@@ -213,6 +217,7 @@ def fit_arm_sums(X, counts, sums, precision=None) -> tuple[np.ndarray, int]:
     X = np.asarray(X, dtype=np.float64)
     counts = np.asarray(counts)
     pulled = counts > 0
+    pulled = slice(None) if pulled.all() else pulled  # every arm pulled: views, not copies
     n = counts[pulled]
     w = n if precision is None else n * np.asarray(precision, dtype=np.float64)[pulled]
     root = np.sqrt(w)

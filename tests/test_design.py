@@ -338,32 +338,36 @@ class TestFlooredEngine:
 
 
 def cholesky_inverse_d_optimal(X, prec, target, tolerance, max_iters):
-    """Reference: the D-optimal updates as they stood before they inverted
-    ``A`` directly. Each iteration reads ``x' A^-1 x`` as the squared norm of
-    ``L^-1 x``, from the Cholesky factor ``L`` of ``A`` and its triangular
-    inverse. Returns the weights and the number of iterations."""
+    """Reference: the guarded accelerated D-optimal updates with each
+    ``x' A^-1 x`` read as the squared norm of ``L^-1 x``, from the Cholesky
+    factor ``L`` of ``A`` and its triangular inverse. The uniform design's
+    ``A`` is the identity, so its forms are the squared row norms. Each
+    step raises the forms' ratio to the rank to the power 2; one that raises
+    the max form, or whose ``A`` does not factor, is retaken at power 1 from
+    the previous weights. Returns the weights and the number of factors."""
     n, rank = X.shape
-    lam = np.full(n, 1.0 / n)
-    best_lam, best_value = lam.copy(), math.inf
-    steps = 0
-    for _ in range(max_iters):
-        A = (X * (lam * prec)[:, None]).T @ X
-        try:
-            c = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            break
+    lam = best_lam = np.full(n, 1.0 / n)
+    quads = np.einsum("ij,ij->i", X, X)
+    f = best_value = float(quads.max())
+    steps, power = 0, 2
+    while steps < max_iters and best_value > target * (1.0 + 0.8 * tolerance):
+        step = lam * (prec * quads / rank) ** power
+        step /= step.sum()
         steps += 1
-        root = X @ np.linalg.inv(c).T
-        quads = np.einsum("ij,ij->i", root, root)
-        f = float(quads.max())
-        if not np.isfinite(f) or f <= 0:
+        try:
+            root = X @ np.linalg.inv(np.linalg.cholesky((X * (step * prec)[:, None]).T @ X)).T
+            step_quads = np.einsum("ij,ij->i", root, root)
+            step_f = float(step_quads.max())
+        except np.linalg.LinAlgError:
+            step_f = math.nan
+        if power == 2 and not step_f <= f:
+            power = 1
+            continue
+        if not 0 < step_f < math.inf:
             break
+        lam, quads, f, power = step, step_quads, step_f, 2
         if f < best_value:
-            best_value, best_lam = f, lam.copy()
-            if best_value <= target * (1.0 + 0.8 * tolerance):
-                break
-        lam = lam * (prec * quads) / rank
-        lam /= lam.sum()
+            best_value, best_lam = f, lam
     return best_lam, steps
 
 
@@ -395,11 +399,74 @@ class TestDOptimalWarmstart:
             for name in ("inv", "cholesky"):
                 patch.setattr(np.linalg, name, counting(name))
             lam = _d_optimal_solve(X, prec, target, tolerance, max_iters)
-        # One inverse of A and no factor per iteration, and as many
-        # iterations as the reference.
+        # One inverse of A and no factor per step, and as many steps as the
+        # reference takes factors.
         assert calls == ["inv"] * ref_steps
         np.testing.assert_allclose(lam, ref_lam, rtol=1e-12, atol=0)
         assert (lam >= 0).all()
+
+
+def count_inverses(monkeypatch, fail_on=()):
+    """Records the matrix of each ``np.linalg.inv`` call; the calls numbered
+    in ``fail_on`` (from 1) raise ``LinAlgError`` as a singular ``A`` would."""
+    calls = []
+    real = np.linalg.inv
+
+    def inv(a):
+        calls.append(np.array(a))
+        if len(calls) in fail_on:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    return calls
+
+
+class TestDOptimalGuard:
+    def test_example1_arms_certify_where_unguarded_steps_cycle(self, monkeypatch):
+        # The H-RAGE burn-in's arm design on example1 (9 arms in R^4). Taken
+        # unguarded, the squared steps cycle without entering the band (they
+        # ran to the 20 000 cap); the guard retakes the steps that raise f
+        # and certifies in a handful of inverses.
+        arms = build_preset(ExperimentConfig("example1")).instance.arms
+        X, _ = _whiten(arms, arms, np.ones(9))
+        band = 4.0 * (1.0 + 0.8 * DEFAULT_FW_TOL)
+        lam, quads = np.full(9, 1.0 / 9), np.einsum("ij,ij->i", X, X)
+        for _ in range(200):
+            lam = lam * (quads / 4.0) ** 2
+            lam /= lam.sum()
+            quads = np.einsum("ij,ij->i", X @ np.linalg.inv((X * lam[:, None]).T @ X), X)
+            assert quads.max() > band
+        calls = count_inverses(monkeypatch)
+        design = _solve_design(kw_problem(arms, tolerance=DEFAULT_FW_TOL))
+        assert design.certified
+        assert design.value == pytest.approx(4.0, rel=DEFAULT_FW_TOL)
+        assert len(calls) <= 10
+
+    def test_singular_accelerated_step_is_retaken_plain(self, monkeypatch):
+        # The first step's A fails to invert: the step is retaken at power 1
+        # from the uniform design, and the solve goes on to certify.
+        arms = np.random.default_rng(6).standard_normal((10, 3))
+        X, _ = _whiten(arms, arms, np.ones(10))
+        quads = np.einsum("ij,ij->i", X, X)
+        calls = count_inverses(monkeypatch, fail_on=(1,))
+        lam = _d_optimal_solve(X, np.ones(10), 3.0, 1e-3, 500)
+        for call, power in zip(calls, (2, 1)):
+            step = quads ** power / (quads ** power).sum()
+            np.testing.assert_allclose(call, (X * step[:, None]).T @ X, rtol=1e-12, atol=1e-15)
+        assert 2 < len(calls) < 500
+        assert float(quad_forms(X, X, lam).max()) <= 3.0 * (1.0 + 1e-3)
+
+    def test_inverse_count_on_head_problems(self, monkeypatch):
+        # Work, not time: HEAD's two D-optimal problems in one d=15 varest
+        # replication, the 500 arms and their 500x120 lifts. Plain updates,
+        # with an inverse for the uniform start, took 88 + 5 = 93 inverses;
+        # the guarded squared steps need at most 60 % of that.
+        arms = build_varest_instance({**PRESET_DEFAULTS["varest"], "d": 15}, 0).arms
+        calls = count_inverses(monkeypatch)
+        for rows in (arms, lift_arms(arms)):
+            assert _solve_design(kw_problem(rows, tolerance=DEFAULT_FW_TOL)).certified
+        assert len(calls) <= 55
 
 
 def example1_round_problem(active_rows, variances=None, tolerance=1e-2):
@@ -786,6 +853,46 @@ class TestSolveDesignMemo:
             assert not array.flags.writeable
         with pytest.raises(ValueError):
             problem.sample_vectors[2, 2] = 10.0
+
+    def test_read_only_array_kept_and_hashed_once(self, empty_memo, monkeypatch):
+        # An array given read-only that owns its data is taken as it is, and
+        # its bytes are hashed once for every problem built on it while it
+        # lives; a writeable copy with the same bytes keys the same design.
+        arms = np.random.default_rng(5).standard_normal((6, 3))
+        arms.flags.writeable = False
+        hashed = []
+        real = design_module.hashlib.blake2b
+
+        def blake2b(*args, **kwargs):
+            if args and isinstance(args[0], memoryview):
+                hashed.append(id(args[0].obj))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(design_module.hashlib, "blake2b", blake2b)
+        problems = [DesignProblem(arms, arms), DesignProblem(arms, arms, tolerance=1e-2)]
+        assert all(problem.sample_vectors is arms for problem in problems)
+        assert hashed.count(id(arms)) == 1
+        design = solve_design(problems[0])
+        assert solve_design(DesignProblem(arms.copy(), arms.copy())) is design
+        key = id(arms)
+        assert design_module._array_digests[key][0]() is arms
+        del arms, problems
+        gc.collect()
+        assert key not in design_module._array_digests
+
+    def test_read_only_view_copied(self, empty_memo):
+        # A read-only view of a writeable array can change under the problem,
+        # so the problem keeps a copy and its digest is not kept.
+        base = np.random.default_rng(5).standard_normal((6, 3))
+        view = base.view()
+        view.flags.writeable = False
+        problem = DesignProblem(view, view)
+        assert problem.sample_vectors is not view
+        first = solve_design(problem)
+        base[0, 0] = 10.0
+        assert view[0, 0] == 10.0 and problem.sample_vectors[0, 0] != 10.0
+        assert solve_design(problem) is first
+        assert id(problem.sample_vectors) not in design_module._array_digests
 
     def test_fields_not_reassignable(self, empty_memo):
         problem = memo_problem()
