@@ -59,10 +59,7 @@ def _as_matrix(vectors, name="vectors") -> np.ndarray:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only C-ordered float64 copy of ``arr``, or ``arr`` itself if it is one that owns its data."""
-    if (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.base is None
-            and arr.flags.c_contiguous and not arr.flags.writeable):
-        return arr
+    """A read-only C-ordered float64 copy of ``arr``, always a copy: no caller can change it."""
     out = np.array(arr, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out

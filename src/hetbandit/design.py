@@ -26,7 +26,6 @@ import hashlib
 import logging
 import math
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -55,9 +54,9 @@ class DesignProblem:
     ``variances`` are per-sample noise variances dividing each outer product
     (all ones for the unweighted problem); ``max_iters`` caps the D-optimal
     updates, or the engine's design and mixture steps together. Construction
-    checks shapes, signs and the tolerance, keeps a read-only array that owns
-    its data as given (the caller must not change it) and a read-only copy of
-    any other (:func:`_frozen`), and takes the memo digest; solves check spans.
+    checks shapes, signs and the tolerance, keeps a private read-only copy of
+    each array (:func:`_frozen`), so no later write by the caller reaches the
+    problem or its memo key, and takes the memo digest; solves check spans.
     """
 
     sample_vectors: np.ndarray
@@ -67,7 +66,6 @@ class DesignProblem:
     max_iters: int = 20_000
 
     def __post_init__(self):
-        given = (self.sample_vectors, self.eval_vectors, self.variances)
         X = _frozen(_as_matrix(self.sample_vectors, "sample_vectors"))
         # Eval vectors given as the sample array itself share its frozen copy.
         V = X if self.eval_vectors is self.sample_vectors else _frozen(
@@ -85,7 +83,7 @@ class DesignProblem:
         object.__setattr__(self, "eval_vectors", V)
         object.__setattr__(self, "variances", w)
         object.__setattr__(self, "_self_eval", V is X or (X.shape == V.shape and np.array_equal(X, V)))
-        object.__setattr__(self, "_digest", _problem_digest(self, given))
+        object.__setattr__(self, "_digest", _problem_digest(self))
 
 
 def _whiten(X: np.ndarray, V: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,26 +217,17 @@ _memo: OrderedDict[bytes, Design] = OrderedDict()
 _memo_lock = threading.Lock()
 
 
-_array_digests: dict[int, tuple[weakref.ref, bytes]] = {}  # by identity, held weakly
-
-
-def _problem_digest(problem: DesignProblem, given) -> bytes:
-    """Digest of everything the solver reads: the arrays, tolerance and cap.
-    A self-evaluating problem hashes its vectors once and says so in the
-    digest; an array kept as ``given`` (:func:`_frozen`) is hashed once."""
-    digest = hashlib.blake2b(digest_size=16)
+def _problem_digest(problem: DesignProblem) -> bytes:
+    """Digest of everything the solver reads: the arrays' shapes and bytes,
+    tolerance and cap. A self-evaluating problem hashes its vectors once and
+    says so in the digest."""
+    digest = hashlib.sha256()
     parts = (problem.eval_vectors, problem.variances)
     if not problem._self_eval:
         parts = (problem.sample_vectors,) + parts
     for part in parts:
-        ref, part_digest = _array_digests.get(id(part), (None, b""))
-        if ref is None or ref() is not part:
-            part_digest = hashlib.blake2b(part.data, digest_size=16).digest()
-            if any(part is array for array in given):
-                ref = weakref.ref(part, lambda _, key=id(part): _array_digests.pop(key, None))
-                _array_digests[id(part)] = ref, part_digest
         digest.update(repr(part.shape).encode())
-        digest.update(part_digest)
+        digest.update(part.data)
     digest.update(repr((problem._self_eval, float(problem.tolerance), int(problem.max_iters))).encode())
     return digest.digest()
 

@@ -261,7 +261,8 @@ class ComplexityReport:
         return self.psi_star / self.rho_star
 
     def lower_bound_samples(self, delta: float) -> float:
-        return 2.0 * self.psi_star * math.log(1.0 / (2.4 * delta))
+        """``2 psi* log(1 / (2.4 delta))``, clamped at 0 for ``delta > 1/2.4``."""
+        return max(0.0, 2.0 * self.psi_star * math.log(1.0 / (2.4 * delta)))
 
 
 def _identification_pairs(task: IdentTask) -> tuple[np.ndarray, np.ndarray]:

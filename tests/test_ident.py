@@ -7,9 +7,11 @@ from conftest import grid_psi_value, random_bai_instance
 from hetbandit import (
     DegenerateGap,
     Environment,
+    ExperimentConfig,
     HeteroInstance,
     IdentTask,
     RunConfig,
+    build_preset,
     hrage_run,
     oracle_run,
     psi_star,
@@ -202,6 +204,18 @@ class TestNoisyRuns:
             wins += trace.correct
         assert wins >= 7
 
+    @pytest.mark.parametrize("preset_name, alpha", [("example1", 0.99), ("example2", 0.99),
+                                                    ("multivariate", 0.005)])
+    def test_hrage_level_set_delta_pac(self, preset_name, alpha):
+        # Level-set identification under noise on the fixed-arm presets'
+        # instances, gated like criterion 8: correct on 30 of 32 seeds.
+        bundle = build_preset(ExperimentConfig(preset=preset_name))
+        task = IdentTask("ls", bundle.task.delta, bundle.instance, alpha)
+        config = RunConfig(c_prime=1.0)
+        hits = sum(hrage_run(task, Environment.from_instance(bundle.instance, seed=seed), config).correct
+                   for seed in range(32))
+        assert hits >= 30
+
     def test_weight_scaling_leaves_design_support(self):
         from hetbandit.design import DesignProblem, solve_design
 
@@ -275,6 +289,8 @@ class TestComplexity:
         delta = 0.05
         expected = 2.0 * report.psi_star * math.log(1.0 / (2.4 * delta))
         assert report.lower_bound_samples(delta) == pytest.approx(expected)
+        # Above delta = 1/2.4 the logarithm is negative, and the bound is 0.
+        assert report.lower_bound_samples(0.5) == 0.0
 
 
 class TestOracleRuns:
