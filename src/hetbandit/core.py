@@ -49,18 +49,18 @@ class DegenerateGap(HetBanditError):
     """An identification gap is zero, so the complexity is undefined."""
 
 
-def _as_matrix(vectors, name="vectors") -> np.ndarray:
-    arr = np.asarray(vectors, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] == 0:
+def _frozen(values, name: str, rows: bool = False) -> np.ndarray:
+    """A read-only C-ordered float64 copy of ``values``, always a copy: no
+    caller can change it. A non-finite entry raises ``ValueError``. With
+    ``rows`` it is a list of vectors: one vector is one row, and any other
+    shape that is not 2-d with columns raises :class:`DimensionMismatch`."""
+    out = np.array(values, dtype=np.float64, order="C")
+    if rows and out.ndim == 1:
+        out = out.reshape(1, -1)
+    if rows and (out.ndim != 2 or out.shape[1] == 0):
         raise DimensionMismatch(f"{name} must be a list of equal-length, non-empty vectors")
-    return arr
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only C-ordered float64 copy of ``arr``, always a copy: no caller can change it."""
-    out = np.array(arr, dtype=np.float64, order="C")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
     out.flags.writeable = False
     return out
 
@@ -96,7 +96,7 @@ def lift_arms(arms: np.ndarray) -> np.ndarray:
     is the ``phi`` with ``phi @ vech(S) == x' S x`` for ``x = arms[i]`` and
     every symmetric ``S`` (diagonal entries of the outer product appear once,
     off-diagonal ones twice), in C order. A single 1-d arm lifts to one row."""
-    arms = _as_matrix(arms, "arms")
+    arms = _frozen(arms, "arms", rows=True)
     d = arms.shape[1]
     rows, cols = vech_indices(d)
     coeff = np.where(rows == cols, 1.0, 2.0)
@@ -254,11 +254,11 @@ class HeteroInstance:
     sigma_max_sq: float
 
     def __post_init__(self):
-        arms = _frozen(_as_matrix(self.arms, "arms"))
+        arms = _frozen(self.arms, "arms", rows=True)
         # Targets given as the arms array itself share its frozen copy.
-        targets = arms if self.targets is self.arms else _frozen(_as_matrix(self.targets, "targets"))
-        theta = _frozen(np.asarray(self.theta_star, dtype=np.float64).ravel())
-        sigma = _frozen(np.asarray(self.sigma_star, dtype=np.float64))
+        targets = arms if self.targets is self.arms else _frozen(self.targets, "targets", rows=True)
+        theta = _frozen(np.ravel(self.theta_star), "theta_star")
+        sigma = _frozen(self.sigma_star, "sigma_star")
         d = arms.shape[1]
         if targets.shape[1] != d or theta.shape != (d,) or sigma.shape != (d, d):
             raise DimensionMismatch("arms, targets, theta_star, sigma_star disagree on dimension")
@@ -280,8 +280,8 @@ class HeteroInstance:
         object.__setattr__(self, "theta_star", theta)
         object.__setattr__(self, "sigma_star", sigma)
         # Every environment built from this instance shares these two arrays.
-        object.__setattr__(self, "arm_means", _frozen(arms @ theta))
-        object.__setattr__(self, "_arm_variances", _frozen(var))
+        object.__setattr__(self, "arm_means", _frozen(arms @ theta, "arm means"))
+        object.__setattr__(self, "_arm_variances", _frozen(var, "arm variances"))
 
     @classmethod
     def from_truth(cls, arms, targets, theta_star, sigma_star) -> "HeteroInstance":
@@ -332,12 +332,12 @@ class Design:
     certified: bool = True
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if not np.all((w >= 0) & (w < np.inf)):
-            raise ValueError("design weights must be finite and nonnegative")
+        w = _frozen(self.weights, "design weights")
+        if not np.all(w >= 0):
+            raise ValueError("design weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("design weights must sum to one")
-        object.__setattr__(self, "weights", _frozen(w))
+        object.__setattr__(self, "weights", w)
 
     @property
     def support(self) -> np.ndarray:
@@ -361,7 +361,7 @@ class VarianceEstimate:
     stage_totals: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_hat_matrix", _frozen(self.sigma_hat_matrix))
-        object.__setattr__(self, "per_arm", _frozen(np.asarray(self.per_arm, dtype=np.float64)))
+        object.__setattr__(self, "sigma_hat_matrix", _frozen(self.sigma_hat_matrix, "sigma_hat_matrix"))
+        object.__setattr__(self, "per_arm", _frozen(self.per_arm, "per_arm"))
         if self.theta_hat is not None:
-            object.__setattr__(self, "theta_hat", _frozen(self.theta_hat))
+            object.__setattr__(self, "theta_hat", _frozen(self.theta_hat, "theta_hat"))

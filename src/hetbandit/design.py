@@ -35,7 +35,6 @@ from .core import (
     Design,
     DimensionMismatch,
     SpanViolation,
-    _as_matrix,
     _frozen,
     gram_eigh,
     quad_forms,
@@ -43,6 +42,8 @@ from .core import (
 )
 
 PRUNE_THRESHOLD = 1e-7
+# Caps the D-optimal updates, or the engine's design and mixture steps together.
+MAX_STEPS = 20_000
 
 logger = logging.getLogger("hetbandit")
 
@@ -52,31 +53,32 @@ class DesignProblem:
     """A minimax design problem over a finite sample set.
 
     ``variances`` are per-sample noise variances dividing each outer product
-    (all ones for the unweighted problem); ``max_iters`` caps the D-optimal
-    updates, or the engine's design and mixture steps together. Construction
-    checks shapes, signs and the tolerance, keeps a private read-only copy of
-    each array (:func:`_frozen`), so no later write by the caller reaches the
-    problem or its memo key, and takes the memo digest; solves check spans.
+    (all ones for the unweighted problem). Construction checks shapes, signs,
+    finiteness, the tolerance and that there is an evaluation vector, keeps a
+    private read-only copy of each array (:func:`_frozen`), so no later write
+    by the caller reaches the problem or its memo key, and takes the memo
+    digest; solves check spans.
     """
 
     sample_vectors: np.ndarray
     eval_vectors: np.ndarray
     variances: np.ndarray | None = None
     tolerance: float = 1e-3
-    max_iters: int = 20_000
 
     def __post_init__(self):
-        X = _frozen(_as_matrix(self.sample_vectors, "sample_vectors"))
+        X = _frozen(self.sample_vectors, "sample_vectors", rows=True)
         # Eval vectors given as the sample array itself share its frozen copy.
         V = X if self.eval_vectors is self.sample_vectors else _frozen(
-            _as_matrix(self.eval_vectors, "eval_vectors"))
+            self.eval_vectors, "eval_vectors", rows=True)
         if V.shape[1] != X.shape[1]:
             raise DimensionMismatch("sample and eval vectors must share a dimension")
-        w = _frozen(np.ones(X.shape[0]) if self.variances is None else self.variances)
+        if V.shape[0] == 0:
+            raise ValueError("need at least one evaluation vector")
+        w = _frozen(np.ones(X.shape[0]) if self.variances is None else self.variances, "variances")
         if w.shape != (X.shape[0],):
             raise DimensionMismatch("one variance per sample vector required")
-        if not np.all((w > 0) & (w < np.inf)):
-            raise ValueError("variances must be finite and strictly positive")
+        if not np.all(w > 0):
+            raise ValueError("variances must be strictly positive")
         if not 0 < self.tolerance < 1:
             raise ValueError("tolerance must lie in (0, 1)")
         object.__setattr__(self, "sample_vectors", X)
@@ -219,8 +221,8 @@ _memo_lock = threading.Lock()
 
 def _problem_digest(problem: DesignProblem) -> bytes:
     """Digest of everything the solver reads: the arrays' shapes and bytes,
-    tolerance and cap. A self-evaluating problem hashes its vectors once and
-    says so in the digest."""
+    tolerance and ``MAX_STEPS``. A self-evaluating problem hashes its vectors
+    once and says so in the digest."""
     digest = hashlib.sha256()
     parts = (problem.eval_vectors, problem.variances)
     if not problem._self_eval:
@@ -228,7 +230,7 @@ def _problem_digest(problem: DesignProblem) -> bytes:
     for part in parts:
         digest.update(repr(part.shape).encode())
         digest.update(part.data)
-    digest.update(repr((problem._self_eval, float(problem.tolerance), int(problem.max_iters))).encode())
+    digest.update(repr((problem._self_eval, float(problem.tolerance), MAX_STEPS)).encode())
     return digest.digest()
 
 
@@ -237,7 +239,7 @@ def solve_design(problem: DesignProblem) -> Design:
 
     The solver is deterministic and :class:`Design` is frozen, so a problem
     already solved in this process (same arrays bit for bit, same tolerance
-    and iteration cap) returns the stored design, under the digest taken at
+    and ``MAX_STEPS``) returns the stored design, under the digest taken at
     construction. The memo holds digests and designs only, never the
     problem's arrays, and at most ``MEMO_SIZE`` of them. Failed solves are
     not stored.
@@ -272,15 +274,13 @@ def _solve_design(problem: DesignProblem) -> Design:
     X, V = _whiten(problem.sample_vectors, problem.eval_vectors, problem.variances)
     prec = 1.0 / problem.variances
     n, r = X.shape
-    if V.shape[0] == 0:
-        raise ValueError("need at least one evaluation vector")
     tol = problem.tolerance
     variance = float(problem.variances[0])
     if problem._self_eval and np.all(problem.variances == variance):
         bound = r * variance
-        lam = fallback = _d_optimal_solve(X, prec, bound, tol, problem.max_iters)
+        lam = fallback = _d_optimal_solve(X, prec, bound, tol, MAX_STEPS)
     else:
-        bound, lam = _floored_eg_solve(X, V, prec, tol, problem.max_iters)
+        bound, lam = _floored_eg_solve(X, V, prec, tol, MAX_STEPS)
         eta = tol / 3.0
         fallback = (1.0 - eta) * lam + eta / n
     pruned = np.where(lam < PRUNE_THRESHOLD, 0.0, lam)
@@ -293,7 +293,7 @@ def _solve_design(problem: DesignProblem) -> Design:
     design = min(tried, key=lambda d: d.value)
     logger.warning(
         "design solve not certified within %d steps: value %.6g, bound %.6g, gap %.3g",
-        problem.max_iters, design.value, bound,
+        MAX_STEPS, design.value, bound,
         design.value / bound - 1.0 if bound > 0 else math.inf,
     )
     return design

@@ -12,12 +12,11 @@ import numpy as np
 from .core import DimensionMismatch, HeteroInstance
 from .design import RoundSchedule
 
-NOISE_MODES = ("gaussian", "silent")
-
 
 class Environment:
     """Noisy responses ``N(means[i], variances[i])`` of each arm ``i``: under
-    the linear model, ``x_i' theta`` and ``x_i' Sigma x_i``.
+    the linear model, ``x_i' theta`` and ``x_i' Sigma x_i``. Zero variances
+    make it noiseless: every response is then its mean exactly.
 
     The per-arm arrays are kept by reference, not copied, so every environment
     built from one instance (and every ``split`` child) shares that instance's
@@ -27,31 +26,27 @@ class Environment:
     """
 
     # Callers may keep many environments (one per run), so no per-instance dict.
-    __slots__ = ("means", "variances", "noise_mode", "_seed_seq", "_rng", "pull_count")
+    __slots__ = ("means", "variances", "_seed_seq", "_rng", "pull_count")
 
-    def __init__(self, means, variances, seed=0, noise_mode: str = "gaussian"):
-        if noise_mode not in NOISE_MODES:
-            raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
+    def __init__(self, means, variances, seed=0):
         self.means = np.asarray(means, dtype=np.float64)
         self.variances = np.asarray(variances, dtype=np.float64)
         if self.means.ndim != 1 or self.variances.shape != self.means.shape:
             raise DimensionMismatch("means and variances must be 1-d arrays of one length")
-        self.noise_mode = noise_mode
+        if not (np.isfinite(self.means).all() and np.isfinite(self.variances).all()):
+            raise ValueError("means and variances must be finite")
         self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._rng = np.random.Generator(np.random.Philox(self._seed_seq))
         self.pull_count = 0
 
     @classmethod
-    def from_instance(cls, instance: HeteroInstance, seed=0, noise_mode: str = "gaussian") -> "Environment":
-        return cls(instance.arm_means, instance.arm_variances(), seed=seed, noise_mode=noise_mode)
+    def from_instance(cls, instance: HeteroInstance, seed=0) -> "Environment":
+        return cls(instance.arm_means, instance.arm_variances(), seed=seed)
 
     def split(self, n: int) -> list["Environment"]:
         """Spawn n child environments with disjoint random streams over the
         same per-arm arrays; each keeps its own pull count."""
-        return [
-            Environment(self.means, self.variances, seed=child_seq, noise_mode=self.noise_mode)
-            for child_seq in self._seed_seq.spawn(n)
-        ]
+        return [Environment(self.means, self.variances, seed=seq) for seq in self._seed_seq.spawn(n)]
 
     def _stds(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.variances, 0.0))
@@ -64,9 +59,7 @@ class Environment:
         the stream as it would be drawn one arm at a time.
         """
         idx = np.repeat(np.arange(self.means.size), schedule.counts)
-        ys = self.means[idx]
-        if self.noise_mode == "gaussian":
-            ys = ys + self._stds()[idx] * self._rng.standard_normal(idx.size)
+        ys = self.means[idx] + self._stds()[idx] * self._rng.standard_normal(idx.size)
         self.pull_count += schedule.total
         return idx, ys
 
@@ -82,9 +75,8 @@ class Environment:
         pulled = counts > 0
         sums = np.zeros(counts.size)
         sums[pulled] = counts[pulled] * self.means[pulled]
-        if self.noise_mode == "gaussian":
-            draws = self._rng.standard_normal(np.count_nonzero(pulled))
-            sums[pulled] += np.sqrt(counts[pulled]) * self._stds()[pulled] * draws
+        draws = self._rng.standard_normal(np.count_nonzero(pulled))
+        sums[pulled] += np.sqrt(counts[pulled]) * self._stds()[pulled] * draws
         self.pull_count += schedule.total
         return counts, sums
 
@@ -101,7 +93,6 @@ class Environment:
         # benchmark probe counts pulls there) see these pulls too.
         counts, sums = self.sample_schedule_sums(schedule)
         ss = np.zeros(counts.size)
-        if self.noise_mode == "gaussian":
-            many = counts > 1
-            ss[many] = self._stds()[many] ** 2 * self._rng.chisquare(counts[many] - 1)
+        many = counts > 1
+        ss[many] = self._stds()[many] ** 2 * self._rng.chisquare(counts[many] - 1)
         return counts, sums, ss

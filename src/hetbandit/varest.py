@@ -112,29 +112,23 @@ def head_estimate(
         raise InsufficientBudget(f"budget {gamma} cannot be split across two stages")
     half = gamma // 2
     X, phi = inst.arms, instance_lift(inst)
-    env1, env2 = env.split(2)
-
-    des1 = solve_design(DesignProblem(X, X, tolerance=fw_tol))
-    if half < des1.support_size:
-        raise InsufficientBudget(
-            f"half budget {half} below stage-1 design support {des1.support_size}"
-        )
-    sched1 = round_design(des1, half)
-    n1, sums1, _ = env1.sample_schedule_moments(sched1)
+    totals, moments = [], []
+    for stage, (rows, stage_env) in enumerate(zip((X, phi), env.split(2)), 1):
+        design = solve_design(DesignProblem(rows, rows, tolerance=fw_tol))
+        if half < design.support_size:
+            raise InsufficientBudget(
+                f"half budget {half} below stage-{stage} design support {design.support_size}"
+            )
+        schedule = round_design(design, half)
+        totals.append(schedule.total)
+        moments.append(stage_env.sample_schedule_moments(schedule))
+    (n1, sums1, _), (n2, sums2, ss2) = moments
     theta_hat, _ = fit_arm_sums(X, n1, sums1)
-
-    des2 = solve_design(DesignProblem(phi, phi, tolerance=fw_tol))
-    if half < des2.support_size:
-        raise InsufficientBudget(
-            f"half budget {half} below stage-2 design support {des2.support_size}"
-        )
-    sched2 = round_design(des2, half)
-    n2, sums2, ss2 = env2.sample_schedule_moments(sched2)
     return _lifted_estimate(
         inst, phi, n2, sums2, ss2, theta_hat,
-        budget_used=sched1.total + sched2.total,
+        budget_used=sum(totals),
         estimator_kind="head",
-        stage_totals=(sched1.total, sched2.total),
+        stage_totals=tuple(totals),
     )
 
 

@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from hetbandit import HeteroInstance, IdentTask
+from hetbandit import Environment, HeteroInstance, IdentTask
 
 UNCERTIFIED_MESSAGE = "design solve not certified"
 
@@ -38,6 +38,11 @@ def no_uncertified_solves(request):
         logger.removeHandler(handler)
     if handler.messages and request.node.get_closest_marker("uncertified") is None:
         pytest.fail(f"{len(handler.messages)} design solve(s) not certified: {handler.messages[0]}")
+
+
+def silent_env(inst: HeteroInstance, seed=0) -> Environment:
+    """A noiseless environment over ``inst``: its arm means, with zero variances."""
+    return Environment(inst.arm_means, np.zeros(inst.n_arms), seed=seed)
 
 
 def simplex_grid(n_points: int, step: float) -> np.ndarray:

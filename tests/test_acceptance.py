@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_psi_value, random_bai_instance
+from conftest import grid_psi_value, random_bai_instance, silent_env
 from hetbandit import (
     DesignProblem,
     Environment,
@@ -260,8 +260,7 @@ def test_criterion_09_noiseless_determinism():
     targets = np.array([[1.0, 0.0], [0.9, 0.0]])
     inst = HeteroInstance(arms, targets, np.array([1.0, 0.0]), np.eye(2), 1.0, 1.0)
     task = IdentTask("bai", 0.05, inst)
-    env = Environment.from_instance(inst, seed=0, noise_mode="silent")
-    trace = hrage_run(task, env, RunConfig(c_prime=1.0))
+    trace = hrage_run(task, silent_env(inst), RunConfig(c_prime=1.0))
     rounds_ok = len(trace.rounds) == 4
     safe = all(0 in record.active_indices for record in trace.rounds)
     ok = rounds_ok and safe and trace.correct

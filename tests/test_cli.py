@@ -272,6 +272,15 @@ class TestCliMain:
         assert code == 3
         assert "one target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["complexity"], ["run", "--reps", "1"]], ids=["complexity", "run"])
+    def test_non_finite_instance_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "nan_theta.npz"
+        np.savez(path, arms=np.eye(2), theta_star=[math.nan, 1.0], sigma_star=np.eye(2))
+        code = main([*argv, "--preset", "custom", "--set", f"instance_file={path}",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "theta_star must be finite" in capsys.readouterr().err
+
     def test_design_command(self, tmp_path, capsys):
         out = tmp_path / "design.csv"
         code = main(["design", "--preset", "intro", "--kappa", "20", "--out", str(out)])

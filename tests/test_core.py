@@ -10,6 +10,7 @@ from hetbandit import (
     Design,
     DesignProblem,
     DimensionMismatch,
+    Environment,
     HeteroInstance,
     SingularInformation,
     lift_arms,
@@ -511,3 +512,28 @@ class TestDesignType:
         d = Design(weights=np.array([0.5, 0.0, 0.5]), value=1.0)
         assert list(d.support) == [0, 2]
         assert d.support_size == 2
+
+
+def _valid_arguments():
+    """Valid keyword arguments of each checked constructor, on a 2-d space."""
+    return {
+        HeteroInstance: dict(arms=np.eye(2), targets=np.eye(2), theta_star=np.zeros(2),
+                             sigma_star=np.eye(2), sigma_min_sq=0.5, sigma_max_sq=2.0),
+        DesignProblem: dict(sample_vectors=np.eye(2), eval_vectors=np.eye(2), variances=np.ones(2)),
+        Design: dict(weights=np.array([0.5, 0.5]), value=1.0),
+        Environment: dict(means=np.zeros(2), variances=np.ones(2)),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind, field", [
+    (HeteroInstance, "arms"), (HeteroInstance, "targets"), (HeteroInstance, "theta_star"),
+    (HeteroInstance, "sigma_star"), (DesignProblem, "sample_vectors"), (DesignProblem, "eval_vectors"),
+    (DesignProblem, "variances"), (Design, "weights"), (Environment, "means"), (Environment, "variances"),
+])
+def test_non_finite_input_rejected(kind, field, bad):
+    kwargs = _valid_arguments()[kind]
+    kwargs[field] = kwargs[field].copy()
+    kwargs[field].flat[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kind(**kwargs)

@@ -141,10 +141,8 @@ class TestSolveDesign:
                  (arms, None, np.diag([1.0, 1.0, 1e-8])),
                  (arms, variances, q @ np.diag([1.0, 1e-4, 1e-8])))
         for evals, variances, t in cases:
-            base = _solve_design(DesignProblem(arms, evals, variances=variances,
-                                               tolerance=1e-3, max_iters=500))
-            mapped = _solve_design(DesignProblem(arms @ t, evals @ t, variances=variances,
-                                                 tolerance=1e-3, max_iters=500))
+            base = _solve_design(DesignProblem(arms, evals, variances=variances, tolerance=1e-3))
+            mapped = _solve_design(DesignProblem(arms @ t, evals @ t, variances=variances, tolerance=1e-3))
             assert base.certified and mapped.certified
             np.testing.assert_allclose(mapped.weights, base.weights, rtol=0, atol=1e-12)
             assert mapped.value == pytest.approx(base.value, rel=1e-12)
@@ -152,18 +150,20 @@ class TestSolveDesign:
         assert _solve_design(DesignProblem(squeezed, squeezed)).value == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.uncertified
-    def test_non_certified_flag_on_iteration_cap(self, refuse_engine):
+    def test_non_certified_flag_on_iteration_cap(self, refuse_engine, monkeypatch):
+        monkeypatch.setattr(design_module, "MAX_STEPS", 3)
         rng = np.random.default_rng(2)
         arms = rng.standard_normal((15, 4))
-        design = solve_design(DesignProblem(arms, arms, tolerance=1e-9, max_iters=3))
+        design = solve_design(DesignProblem(arms, arms, tolerance=1e-9))
         assert not design.certified
 
     @pytest.mark.uncertified
-    def test_uncertified_solve_logs_its_gap(self, caplog, refuse_engine):
+    def test_uncertified_solve_logs_its_gap(self, caplog, refuse_engine, monkeypatch):
+        monkeypatch.setattr(design_module, "MAX_STEPS", 3)
         rng = np.random.default_rng(2)
         arms = rng.standard_normal((15, 4))
         with caplog.at_level(logging.WARNING, logger="hetbandit"):
-            design = _solve_design(DesignProblem(arms, arms, tolerance=1e-9, max_iters=3))
+            design = _solve_design(DesignProblem(arms, arms, tolerance=1e-9))
         assert not design.certified
         records = [r for r in caplog.records if r.name == "hetbandit"]
         assert len(records) == 1
@@ -196,6 +196,8 @@ class TestSolveDesign:
                 Design(weights=weights, value=1.0)
         with pytest.raises(Exception):
             DesignProblem(np.eye(2), np.eye(3))
+        with pytest.raises(ValueError, match="evaluation vector"):
+            DesignProblem(np.eye(2), np.empty((0, 2)))
 
 
 def cholesky_inverse_engine(X, V, prec, tolerance, max_steps):
@@ -262,9 +264,9 @@ def weighted_transductive_problems(count=50, seed=60):
         pick = rng.choice(iu.size, size=int(rng.integers(1, min(iu.size, 6) + 1)), replace=False)
         problem = DesignProblem(arms, arms[iu[pick]] - arms[ju[pick]],
                                 variances=rng.uniform(0.5, 2.0, size=n),
-                                tolerance=float(rng.choice([1e-2, 1e-3])), max_iters=2000)
+                                tolerance=float(rng.choice([1e-2, 1e-3])))
         X, V = _whiten(problem.sample_vectors, problem.eval_vectors, problem.variances)
-        yield X, V, 1.0 / problem.variances, problem.tolerance, problem.max_iters
+        yield X, V, 1.0 / problem.variances, problem.tolerance, 2000
 
 
 class TestFlooredEngine:
@@ -292,7 +294,7 @@ class TestFlooredEngine:
         for rows in (range(9), [0, 4, 5, 6, 7, 8], [0, 4, 5], [0, 4, 5, 6], [4, 5, 6, 7, 8]):
             problem = example1_round_problem(list(rows))
             X, V = _whiten(problem.sample_vectors, problem.eval_vectors, problem.variances)
-            _floored_eg_solve(X, V, 1.0 / problem.variances, problem.tolerance, problem.max_iters)
+            _floored_eg_solve(X, V, 1.0 / problem.variances, problem.tolerance, design_module.MAX_STEPS)
         assert len(calls) <= 414
 
     def test_design_steps_stop_at_the_cap(self, monkeypatch):
@@ -302,11 +304,12 @@ class TestFlooredEngine:
         # a mixture step, whose bound certifies the last design after all.
         rng = np.random.default_rng(2)
         arms = rng.standard_normal((15, 4))
-        problem = DesignProblem(arms, rng.standard_normal((1, 4)), tolerance=1e-16, max_iters=500)
+        monkeypatch.setattr(design_module, "MAX_STEPS", 500)
+        problem = DesignProblem(arms, rng.standard_normal((1, 4)), tolerance=1e-16)
         X, V = _whiten(problem.sample_vectors, problem.eval_vectors, problem.variances)
         calls = count_solves(monkeypatch)
-        bound, lam = _floored_eg_solve(X, V, np.ones(15), problem.tolerance, problem.max_iters)
-        assert len(calls) == problem.max_iters
+        bound, lam = _floored_eg_solve(X, V, np.ones(15), problem.tolerance, 500)
+        assert len(calls) == 500
         assert 0 < bound < math.inf
         assert lam.max() > 10 * lam.min()
         assert _solve_design(problem).certified
@@ -382,7 +385,7 @@ class TestDOptimalWarmstart:
         rows = lift_arms(arms) if lifted else arms
         X, _ = _whiten(rows, rows, np.ones(rows.shape[0]))
         prec, target = np.ones(X.shape[0]), float(X.shape[1])
-        max_iters = DesignProblem.max_iters
+        max_iters = design_module.MAX_STEPS
         ref_lam, ref_steps = cholesky_inverse_d_optimal(X, prec, target, tolerance, max_iters)
         calls = []
 
@@ -561,7 +564,7 @@ class TestSolvePaths:
 
     def test_sparse_weights_returned_when_they_certify(self):
         # The single-direction problem has a singular optimum: all weight on e1.
-        design = _solve_design(DesignProblem(np.eye(2), [[0.1, 0.0]], max_iters=50))
+        design = _solve_design(DesignProblem(np.eye(2), [[0.1, 0.0]]))
         assert design.certified
         assert np.array_equal(design.weights, [1.0, 0.0])
         assert design.value == pytest.approx(0.01, rel=1e-12)
@@ -696,7 +699,6 @@ class TestSolveDesignMemo:
             base,
             DesignProblem(arms, evals, variances=np.full(8, 2.0), tolerance=1e-3),
             DesignProblem(arms, evals, tolerance=2e-3),
-            DesignProblem(arms, evals, tolerance=1e-3, max_iters=19_999),
             DesignProblem(arms, evals[::-1], tolerance=1e-3),
             DesignProblem(nudged, evals, tolerance=1e-3),
         ]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import silent_env
 from hetbandit import (
     DimensionMismatch,
     Environment,
@@ -35,7 +36,7 @@ def pull(env, arm):
 
 class TestSample:
     def test_silent_mode_exact(self):
-        env = Environment.from_instance(make_instance(), seed=0, noise_mode="silent")
+        env = silent_env(make_instance(), seed=0)
         assert pull(env, 0) == 1.0
         assert env.pull_count == 1
 
@@ -49,10 +50,6 @@ class TestSample:
         _, ys = env.sample_schedule(schedule([10**6, 0, 0]))
         assert abs(ys.mean() - 1.0) < 0.02
         assert abs(ys.var() / 4.0 - 1.0) < 0.03
-
-    def test_bad_noise_mode(self):
-        with pytest.raises(ValueError):
-            Environment(np.zeros(2), np.ones(2), noise_mode="loud")
 
 
 class TestDeterminism:
@@ -104,7 +101,7 @@ class TestBookkeeping:
         assert counts[0] == 5 and counts[2] == 2 and counts[1] == 0
 
     def test_sums_exact_in_silent_mode(self):
-        env = Environment.from_instance(make_instance(), seed=1, noise_mode="silent")
+        env = silent_env(make_instance(), seed=1)
         counts, sums = env.sample_schedule_sums(schedule([4, 3, 0]))
         assert sums[0] == pytest.approx(4 * 1.0)
         assert sums[1] == pytest.approx(3 * 0.5)
@@ -148,21 +145,19 @@ class LoopReference:
     """The per-arm loop the environment's sampling must match bit for bit.
 
     Draws from its own Philox stream over the same seed, one arm at a time
-    and one scalar per ``sample`` call.
+    and one scalar per ``sample`` call, with each arm's variance scaled by
+    ``noise`` (1 for the instance's, 0 for none).
     """
 
-    def __init__(self, inst, seed, noise_mode):
+    def __init__(self, inst, seed, noise):
         self.means = inst.arms @ inst.theta_star
-        var = np.einsum("ij,jk,ik->i", inst.arms, inst.sigma_star, inst.arms)
+        var = noise * np.einsum("ij,jk,ik->i", inst.arms, inst.sigma_star, inst.arms)
         self.stds = np.sqrt(np.maximum(var, 0.0))
         self.rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        self.gaussian = noise_mode == "gaussian"
         self.pull_count = 0
 
     def sample(self, arm):
-        y = self.means[arm]
-        if self.gaussian:
-            y = y + self.stds[arm] * self.rng.standard_normal()
+        y = self.means[arm] + self.stds[arm] * self.rng.standard_normal()
         self.pull_count += 1
         return float(y)
 
@@ -171,10 +166,7 @@ class LoopReference:
         for arm, count in enumerate(counts):
             if count <= 0:
                 continue
-            if self.gaussian:
-                ys = self.means[arm] + self.stds[arm] * self.rng.standard_normal(count)
-            else:
-                ys = np.full(count, self.means[arm])
+            ys = self.means[arm] + self.stds[arm] * self.rng.standard_normal(count)
             idx_parts.append(np.full(count, arm, dtype=np.int64))
             y_parts.append(ys)
         idx, ys = np.concatenate(idx_parts), np.concatenate(y_parts)
@@ -188,8 +180,7 @@ class LoopReference:
                 continue
             out_counts[arm] = float(count)
             sums[arm] = float(count) * self.means[arm]
-            if self.gaussian:
-                sums[arm] += math.sqrt(count) * self.stds[arm] * self.rng.standard_normal()
+            sums[arm] += math.sqrt(count) * self.stds[arm] * self.rng.standard_normal()
         self.pull_count += sum(counts)
         return out_counts, sums
 
@@ -197,9 +188,14 @@ class LoopReference:
         out_counts, sums = self.sample_schedule_sums(counts)
         ss = np.zeros(len(counts))
         for arm, count in enumerate(counts):
-            if self.gaussian and count > 1:
+            if count > 1:
                 ss[arm] = self.stds[arm] ** 2 * self.rng.chisquare(count - 1)
         return out_counts, sums, ss
+
+
+# The instance's variances, or none: a noiseless environment draws the same
+# stream and reads every response at its mean.
+NOISE_LEVELS = pytest.mark.parametrize("noise", [1.0, 0.0], ids=["gaussian", "silent"])
 
 
 class TestLoopFreeSampling:
@@ -216,12 +212,12 @@ class TestLoopFreeSampling:
         ("sample", 0),
     )
 
-    @pytest.mark.parametrize("noise_mode", ["gaussian", "silent"])
+    @NOISE_LEVELS
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_bit_identical_to_per_arm_loop(self, noise_mode, seed):
+    def test_bit_identical_to_per_arm_loop(self, noise, seed):
         inst = make_instance()
-        env = Environment.from_instance(inst, seed=seed, noise_mode=noise_mode)
-        ref = LoopReference(inst, seed, noise_mode)
+        env = Environment(inst.arm_means, noise * inst.arm_variances(), seed=seed)
+        ref = LoopReference(inst, seed, noise)
         for kind, arg in self.CALLS:
             if kind == "sample":
                 assert pull(env, arg) == ref.sample(arg)
@@ -255,14 +251,14 @@ class TestMomentSampling:
             assert np.array_equal(got_sums, ref_sums)
             assert env.pull_count == ref.pull_count == sum(counts)
 
-    @pytest.mark.parametrize("noise_mode", ["gaussian", "silent"])
+    @NOISE_LEVELS
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_bit_identical_to_per_arm_loop(self, noise_mode, seed):
+    def test_bit_identical_to_per_arm_loop(self, noise, seed):
         # Arms with zero or one pull read SS = 0 and take no draw, so the
         # streams stay in step after every call.
         inst = make_instance()
-        env = Environment.from_instance(inst, seed=seed, noise_mode=noise_mode)
-        ref = LoopReference(inst, seed, noise_mode)
+        env = Environment(inst.arm_means, noise * inst.arm_variances(), seed=seed)
+        ref = LoopReference(inst, seed, noise)
         for counts in self.SCHEDULES:
             got = env.sample_schedule_moments(schedule(counts))
             want = ref.sample_schedule_moments(counts)
@@ -301,7 +297,7 @@ class TestMomentSampling:
 
     def test_silent_mode_exact(self):
         inst = make_instance()
-        env = Environment.from_instance(inst, seed=1, noise_mode="silent")
+        env = silent_env(inst, seed=1)
         counts, sums, ss = env.sample_schedule_moments(schedule([4, 0, 3]))
         assert np.array_equal(counts, [4.0, 0.0, 3.0])
         assert np.array_equal(sums, counts * inst.arm_means)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_psi_value, random_bai_instance
+from conftest import grid_psi_value, random_bai_instance, silent_env
 from hetbandit import (
     DegenerateGap,
     Environment,
@@ -19,10 +19,6 @@ from hetbandit import (
 )
 from hetbandit.core import fit_arm_sums
 from hetbandit.ident import _identification_pairs, round_budget
-
-
-def silent_env(inst, seed=0):
-    return Environment.from_instance(inst, seed=seed, noise_mode="silent")
 
 
 def two_target_instance(gap=0.1):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import silent_env
 from hetbandit import (
     DEFAULT_C_PRIME,
     Environment,
@@ -87,22 +88,19 @@ class TestBudgetFormula:
 class TestZeroNoiseFixedPoint:
     def test_head_returns_zero_matrix(self):
         inst = basis_instance()
-        env = Environment.from_instance(inst, seed=0, noise_mode="silent")
-        est = head_estimate(inst, env, 60)
+        est = head_estimate(inst, silent_env(inst), 60)
         assert np.allclose(est.sigma_hat_matrix, 0.0, atol=1e-18)
         assert np.allclose(est.per_arm, inst.sigma_min_sq)
         assert est.rank_deficient  # basis lifts span only the diagonal
 
     def test_uniform_returns_zero_matrix(self):
         inst = three_arm_instance()
-        env = Environment.from_instance(inst, seed=0, noise_mode="silent")
-        est = uniform_estimate(inst, env, 500, rng_seed=1)
+        est = uniform_estimate(inst, silent_env(inst), 500, rng_seed=1)
         assert np.allclose(est.sigma_hat_matrix, 0.0, atol=1e-12)
 
     def test_separate_arm_returns_zero_matrix(self):
         inst = three_arm_instance()
-        env = Environment.from_instance(inst, seed=0, noise_mode="silent")
-        est = separate_arm_estimate(inst, env, 300)
+        est = separate_arm_estimate(inst, silent_env(inst), 300)
         assert np.allclose(est.sigma_hat_matrix, 0.0, atol=1e-12)
 
 
