@@ -126,12 +126,13 @@ class TestSolveDesign:
         assert np.array_equal(hit.weights, one.weights)
         assert hit.value == one.value
 
-    def test_invariant_under_ill_conditioned_map(self):
+    def test_invariant_under_ill_conditioned_map(self, monkeypatch):
         # The value v' A^-1 v does not change under an invertible map of the
         # space, so neither may the solve. The first map squeezes one axis of
         # a transductive problem by 1e-4; the others squeeze one axis of a
         # self-evaluating problem by 1e-8, beyond what the Gram resolves, so
-        # its whitening takes the SVD.
+        # its whitening takes the SVD. Each solve certifies within 500 steps.
+        monkeypatch.setattr(design_module, "MAX_STEPS", 500)
         rng = np.random.default_rng(31)
         arms = rng.standard_normal((8, 3))
         evals = rng.standard_normal((4, 3))
@@ -562,8 +563,10 @@ class TestSolvePaths:
             np.testing.assert_array_equal(X_copy, X)
             np.testing.assert_array_equal(V_copy, X)
 
-    def test_sparse_weights_returned_when_they_certify(self):
-        # The single-direction problem has a singular optimum: all weight on e1.
+    def test_sparse_weights_returned_when_they_certify(self, monkeypatch):
+        # The single-direction problem has a singular optimum: all weight on e1,
+        # certified within 50 steps.
+        monkeypatch.setattr(design_module, "MAX_STEPS", 50)
         design = _solve_design(DesignProblem(np.eye(2), [[0.1, 0.0]]))
         assert design.certified
         assert np.array_equal(design.weights, [1.0, 0.0])
@@ -690,7 +693,7 @@ class TestSolveDesignMemo:
             assert design.certified == fresh.certified
             assert np.array_equal(design.support, fresh.support)
 
-    def test_changed_inputs_miss(self, empty_memo):
+    def test_changed_inputs_miss(self, empty_memo, monkeypatch):
         base = memo_problem()
         arms, evals = base.sample_vectors, base.eval_vectors
         nudged = arms.copy()
@@ -705,6 +708,12 @@ class TestSolveDesignMemo:
         designs = [solve_design(problem) for problem in variants]
         assert len(empty_memo) == len(variants)
         assert len({id(design) for design in designs}) == len(variants)
+        # The step cap is part of the key: a patched cap never hits a design
+        # solved under another.
+        monkeypatch.setattr(design_module, "MAX_STEPS", 19_999)
+        capped = solve_design(DesignProblem(arms, evals, tolerance=1e-3))
+        assert len(empty_memo) == len(variants) + 1
+        assert all(capped is not design for design in designs)
 
     def test_self_evaluating_digest_differs(self, empty_memo):
         # A D-optimal problem hashes its vectors once, under a flag of its own.
