@@ -21,12 +21,14 @@ class Environment:
     The per-arm arrays are kept by reference, not copied, so every environment
     built from one instance (and every ``split`` child) shares that instance's
     arrays. ``seed`` is an integer or a :class:`numpy.random.SeedSequence`.
+    ``rng`` is the one generator behind every draw: the responses, and any
+    random choice an algorithm makes (the uniform baseline's arm picks).
     Library algorithms draw per-arm sums or moments; ``sample_schedule`` draws
     single pulls for users.
     """
 
     # Callers may keep many environments (one per run), so no per-instance dict.
-    __slots__ = ("means", "variances", "_seed_seq", "_rng", "pull_count")
+    __slots__ = ("means", "variances", "_seed_seq", "rng", "pull_count")
 
     def __init__(self, means, variances, seed=0):
         self.means = np.asarray(means, dtype=np.float64)
@@ -36,7 +38,7 @@ class Environment:
         if not (np.isfinite(self.means).all() and np.isfinite(self.variances).all()):
             raise ValueError("means and variances must be finite")
         self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        self._rng = np.random.Generator(np.random.Philox(self._seed_seq))
+        self.rng = np.random.Generator(np.random.Philox(self._seed_seq))
         self.pull_count = 0
 
     @classmethod
@@ -59,7 +61,7 @@ class Environment:
         the stream as it would be drawn one arm at a time.
         """
         idx = np.repeat(np.arange(self.means.size), schedule.counts)
-        ys = self.means[idx] + self._stds()[idx] * self._rng.standard_normal(idx.size)
+        ys = self.means[idx] + self._stds()[idx] * self.rng.standard_normal(idx.size)
         self.pull_count += schedule.total
         return idx, ys
 
@@ -75,7 +77,7 @@ class Environment:
         pulled = counts > 0
         sums = np.zeros(counts.size)
         sums[pulled] = counts[pulled] * self.means[pulled]
-        draws = self._rng.standard_normal(np.count_nonzero(pulled))
+        draws = self.rng.standard_normal(np.count_nonzero(pulled))
         sums[pulled] += np.sqrt(counts[pulled]) * self._stds()[pulled] * draws
         self.pull_count += schedule.total
         return counts, sums
@@ -94,5 +96,5 @@ class Environment:
         counts, sums = self.sample_schedule_sums(schedule)
         ss = np.zeros(counts.size)
         many = counts > 1
-        ss[many] = self._stds()[many] ** 2 * self._rng.chisquare(counts[many] - 1)
+        ss[many] = self._stds()[many] ** 2 * self.rng.chisquare(counts[many] - 1)
         return counts, sums, ss

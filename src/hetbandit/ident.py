@@ -9,7 +9,7 @@ functionals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -289,6 +289,15 @@ def _identification_pairs(task: IdentTask) -> tuple[np.ndarray, np.ndarray]:
     return directions, gaps
 
 
+def _gap_problem(task: IdentTask, variances, fw_tol: float) -> tuple[np.ndarray, DesignProblem]:
+    """The identification directions, and the design problem over the arms
+    (weighted by ``variances``, or unweighted for None) that evaluates them
+    scaled by their gaps: the scaling turns the ratio objective into a plain
+    minimax design problem."""
+    directions, gaps = _identification_pairs(task)
+    return directions, DesignProblem(task.instance.arms, directions / gaps[:, None], variances, fw_tol)
+
+
 def psi_star(
     task: IdentTask,
     variances: np.ndarray | None = None,
@@ -296,23 +305,15 @@ def psi_star(
 ) -> ComplexityReport:
     """Minimax identification complexity and its worst-case counterpart.
 
-    Scaling each direction by its gap turns the ratio objective into a plain
-    minimax design problem, solved by the same certified design solver. The
-    weighted value uses the given per-arm variances (true model variances by
-    default); the unweighted value times the variance upper bound gives the
-    worst-case complexity.
+    Both are values of the gap-scaled design problem, solved by the certified
+    design solver. The weighted value uses the given per-arm variances (true
+    model variances by default); the unweighted value times the variance upper
+    bound gives the worst-case complexity.
     """
     inst = task.instance
-    if variances is None:
-        variances = inst.arm_variances()
-    variances = np.asarray(variances, dtype=np.float64)
-    directions, gaps = _identification_pairs(task)
-    scaled = directions / gaps[:, None]
-
-    psi_design = solve_design(
-        DesignProblem(inst.arms, scaled, variances=variances, tolerance=fw_tol)
-    )
-    rho_design = solve_design(DesignProblem(inst.arms, scaled, tolerance=fw_tol))
+    _, problem = _gap_problem(task, inst.arm_variances() if variances is None else variances, fw_tol)
+    psi_design = solve_design(problem)
+    rho_design = solve_design(replace(problem, variances=None))
     return ComplexityReport(
         psi_star=psi_design.value,
         rho_star=inst.sigma_max_sq * rho_design.value,
@@ -334,9 +335,10 @@ def oracle_run(
 ) -> RunTrace:
     """Fixed-design verification run with known variances.
 
-    Computes the complexity-optimal design (variance-weighted for ``truth``,
-    unweighted worst-case for ``max``), then draws doubling batches from the
-    rounded design until every identification pair passes its verification
+    Solves the complexity-optimal design only: weighted by ``variances`` (the
+    true model variances by default) for ``truth``, unweighted worst-case for
+    ``max``, which does not read ``variances``. Then draws doubling batches from
+    the rounded design until every identification pair passes its verification
     inequality: the empirical margin must exceed the union-bound confidence
     width, from ``v' A^+ v`` for the pulled information matrix ``A``: a pair
     outside the span of the pulled arms never verifies. Gives up (flagged)
@@ -346,23 +348,18 @@ def oracle_run(
         raise ValueError(f"sigma_source must be one of {SIGMA_SOURCES}")
     config = config or RunConfig()
     inst = task.instance
-    report = psi_star(task, variances=variances, fw_tol=config.fw_tol)
     if sigma_source == "truth":
-        design = report.psi_design
-        size = report.psi_star
-        arm_vars = inst.arm_variances() if variances is None else np.asarray(variances, float)
-        precisions = 1.0 / arm_vars
+        variances = inst.arm_variances() if variances is None else variances
         width_scale = 1.0
     else:
-        design = report.rho_design
-        size = report.rho_star
-        precisions = np.ones(inst.n_arms)
-        width_scale = inst.sigma_max_sq
+        variances, width_scale = None, inst.sigma_max_sq
+    directions, problem = _gap_problem(task, variances, config.fw_tol)
+    design = solve_design(problem)
+    precisions = 1.0 / problem.variances
 
     n_targets = inst.targets.shape[0]
     log_term = math.log(2 * n_targets / task.delta)
-    nominal = int(math.ceil(2.0 * size * log_term))
-    directions, gaps = _identification_pairs(task)
+    nominal = int(math.ceil(2.0 * width_scale * design.value * log_term))  # psi* or rho*
 
     counts = np.zeros(inst.n_arms)
     sums = np.zeros(inst.n_arms)

@@ -45,7 +45,7 @@ class PresetBundle:
 
 
 COMMANDS = ("run", "design", "complexity")
-# Each task's algorithms in canonical order. A cell's noise stream is numbered
+# Each task's algorithms in canonical order. A cell's random stream is numbered
 # by its algorithm's place here, so it does not depend on which others run.
 IDENT_ALGORITHMS = ("hrage", "rage", "oracle-het", "oracle-hom")
 VAREST_ALGORITHMS = ("head", "uniform", "separate_arm")

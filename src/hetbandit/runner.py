@@ -77,7 +77,7 @@ def _cells(config: ExperimentConfig, rep: int, bundle: PresetBundle) -> list:
     if varest:
         runs = {
             "head": lambda env, gamma: head_estimate(inst, env, gamma),
-            "uniform": lambda env, gamma: uniform_estimate(inst, env, gamma, rng_seed=rep),
+            "uniform": lambda env, gamma: uniform_estimate(inst, env, gamma),
             "separate_arm": lambda env, gamma: separate_arm_estimate(inst, env, gamma),
         }
     else:

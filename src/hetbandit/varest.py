@@ -13,7 +13,8 @@ Three strategies are provided:
 
 Every estimator reads only per-arm sufficient statistics (count, sum and
 centred sum of squares), drawn directly from their exact distribution by
-:meth:`~hetbandit.env.Environment.sample_schedule_moments`; no pull is drawn
+:meth:`~hetbandit.env.Environment.sample_schedule_moments`, or by
+``sample_schedule_sums`` where no sum of squares is read; no pull is drawn
 or stored one by one, so a call costs the same at any budget. Each regression
 has one row per pulled arm rather than one per pull. The sum of squared
 residuals of arm i about any fit is ``SS_i + n_i (mean_i - fit_i)^2``, which
@@ -112,7 +113,7 @@ def head_estimate(
         raise InsufficientBudget(f"budget {gamma} cannot be split across two stages")
     half = gamma // 2
     X, phi = inst.arms, instance_lift(inst)
-    totals, moments = [], []
+    totals, draws = [], []
     for stage, (rows, stage_env) in enumerate(zip((X, phi), env.split(2)), 1):
         design = solve_design(DesignProblem(rows, rows, tolerance=fw_tol))
         if half < design.support_size:
@@ -121,8 +122,10 @@ def head_estimate(
             )
         schedule = round_design(design, half)
         totals.append(schedule.total)
-        moments.append(stage_env.sample_schedule_moments(schedule))
-    (n1, sums1, _), (n2, sums2, ss2) = moments
+        # Only the stage-2 fit reads sums of squares.
+        draw = stage_env.sample_schedule_sums if stage == 1 else stage_env.sample_schedule_moments
+        draws.append(draw(schedule))
+    (n1, sums1), (n2, sums2, ss2) = draws
     theta_hat, _ = fit_arm_sums(X, n1, sums1)
     return _lifted_estimate(
         inst, phi, n2, sums2, ss2, theta_hat,
@@ -132,25 +135,21 @@ def head_estimate(
     )
 
 
-def uniform_estimate(
-    inst: HeteroInstance,
-    env: Environment,
-    gamma: int,
-    rng_seed: int = 0,
-) -> VarianceEstimate:
+def uniform_estimate(inst: HeteroInstance, env: Environment, gamma: int) -> VarianceEstimate:
     """Uniform-sampling baseline: one pooled sample, no splitting.
 
-    The mean parameter is fit on all draws and the squared residuals of the
-    same draws are regressed on the lifted arms, both by count-weighted least
-    squares on per-arm sufficient statistics. A pool whose lifts do not span
-    the lift space (a small budget misses arms) gets minimum-norm fits and is
-    flagged ``rank_deficient``.
+    The arms of the ``gamma`` pulls are picked uniformly at random, by one
+    multinomial draw from ``env.rng`` before the responses. The mean
+    parameter is fit on all draws and the squared residuals of the same draws
+    are regressed on the lifted arms, both by count-weighted least squares on
+    per-arm sufficient statistics. A pool whose lifts do not span the lift
+    space (a small budget misses arms) gets minimum-norm fits and is flagged
+    ``rank_deficient``.
     """
     if gamma < 1:
         raise InsufficientBudget("uniform estimator needs at least one sample")
     X, phi = inst.arms, instance_lift(inst)
-    pick_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
-    counts = pick_rng.multinomial(gamma, np.full(inst.n_arms, 1.0 / inst.n_arms))
+    counts = env.rng.multinomial(gamma, np.full(inst.n_arms, 1.0 / inst.n_arms))
     schedule = RoundSchedule(tuple(counts.tolist()))
     n, sums, ss = env.sample_schedule_moments(schedule)
     theta_hat, _ = fit_arm_sums(X, n, sums)

@@ -168,12 +168,7 @@ def test_criterion_06_estimator_ordering():
                 mae(head_estimate(inst, Environment.from_instance(inst, seed=seed), gamma), inst)
             )
             unif_errs.append(
-                mae(
-                    uniform_estimate(
-                        inst, Environment.from_instance(inst, seed=10_000 + seed), gamma, rng_seed=seed
-                    ),
-                    inst,
-                )
+                mae(uniform_estimate(inst, Environment.from_instance(inst, seed=10_000 + seed), gamma), inst)
             )
             sep_errs.append(
                 mae(

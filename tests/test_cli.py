@@ -87,9 +87,10 @@ class TestRunSuite:
         assert strip_wall(rows_a) == strip_wall(rows_b)
 
     def test_worker_pool_matches_serial(self):
-        serial, _ = run_suite(tiny_config())
-        parallel, _ = run_suite(tiny_config(jobs=2))
-        assert strip_wall(serial) == strip_wall(parallel)
+        for make, kw in ((tiny_config, {}), (tiny_varest_config, {"algorithms": None})):
+            serial, _ = run_suite(make(**kw))
+            parallel, _ = run_suite(make(jobs=2, **kw))
+            assert strip_wall(serial) == strip_wall(parallel), make.__name__
 
     @pytest.mark.parametrize(
         "patched, config, failing, other",

@@ -324,7 +324,7 @@ class TestMomentSampling:
         head = head_estimate(inst, Environment.from_instance(inst, seed=6), gamma)
         assert head.budget_used == sum(head.stage_totals) >= gamma
         assert min(head.stage_totals) >= gamma // 2
-        uniform = uniform_estimate(inst, Environment.from_instance(inst, seed=7), gamma, rng_seed=1)
+        uniform = uniform_estimate(inst, Environment.from_instance(inst, seed=7), gamma)
         assert uniform.budget_used == gamma
         separate = separate_arm_estimate(inst, Environment.from_instance(inst, seed=8), gamma)
         assert separate.budget_used == 3 * (gamma // 3)

@@ -5,6 +5,10 @@ Each file under ``tests/golden`` is the schema-v1 CSV that ``run_suite``
 writes for its preset at ``base_seed=7`` (``example2`` at 2 replications,
 ``varest`` at its defaults and 1 replication), with the ``wall_ms`` column
 dropped. Integers and labels must match exactly, floats to ``rel=1e-9``.
+From the repository root, ``varest.csv`` is regenerated by::
+
+    PYTHONPATH=src python -m hetbandit.cli run --preset varest --reps 1 --seed 7 --out varest.csv
+    sed -E 's/,[^,]*$//' varest.csv > tests/golden/varest.csv && rm varest.csv
 """
 
 from __future__ import annotations

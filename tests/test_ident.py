@@ -17,6 +17,7 @@ from hetbandit import (
     psi_star,
     rage_run,
 )
+from hetbandit import ident
 from hetbandit.core import fit_arm_sums
 from hetbandit.ident import _identification_pairs, round_budget
 
@@ -323,6 +324,15 @@ class TestOracleRuns:
         trace = oracle_run(task, env, "truth", variances=np.full(2, 1e-9))
         assert [r.pulls for r in trace.rounds] == [2, 0, 2]
         assert trace.total_pulls == env.pull_count == 4
+
+    @pytest.mark.parametrize("source", ["truth", "max"])
+    def test_solves_only_the_design_it_samples(self, monkeypatch, source):
+        problems = []
+        solve = ident.solve_design
+        monkeypatch.setattr(ident, "solve_design", lambda problem: problems.append(problem) or solve(problem))
+        task = IdentTask("bai", 0.05, two_target_instance(0.2))
+        oracle_run(task, silent_env(task.instance), source)
+        assert len(problems) == 1
 
     def test_bad_source_rejected(self):
         task = IdentTask("bai", 0.05, two_target_instance(0.2))

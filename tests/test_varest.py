@@ -43,12 +43,16 @@ def per_pull_moments(env, schedule, draws):
 
 @pytest.fixture
 def per_pull_sampling(monkeypatch):
-    """Draw the estimators' moments pull by pull; returns the list of each
-    call's (arm indices, observations), in call order."""
+    """Draw the estimators' sums and moments pull by pull; returns the list
+    of each call's (arm indices, observations), in call order."""
     draws: list = []
     monkeypatch.setattr(
         Environment, "sample_schedule_moments",
         lambda env, schedule: per_pull_moments(env, schedule, draws),
+    )
+    monkeypatch.setattr(
+        Environment, "sample_schedule_sums",
+        lambda env, schedule: per_pull_moments(env, schedule, draws)[:2],
     )
     return draws
 
@@ -95,7 +99,7 @@ class TestZeroNoiseFixedPoint:
 
     def test_uniform_returns_zero_matrix(self):
         inst = three_arm_instance()
-        est = uniform_estimate(inst, silent_env(inst), 500, rng_seed=1)
+        est = uniform_estimate(inst, silent_env(inst), 500)
         assert np.allclose(est.sigma_hat_matrix, 0.0, atol=1e-12)
 
     def test_separate_arm_returns_zero_matrix(self):
@@ -166,7 +170,7 @@ class TestHeadEstimate:
             env = Environment.from_instance(inst, seed=seed)
             head_maes.append(mae(head_estimate(inst, env, 10_000), inst))
             env2 = Environment.from_instance(inst, seed=10_000 + seed)
-            unif_maes.append(mae(uniform_estimate(inst, env2, 10_000, rng_seed=seed), inst))
+            unif_maes.append(mae(uniform_estimate(inst, env2, 10_000), inst))
         assert np.mean(head_maes) < np.mean(unif_maes)
 
 
@@ -177,10 +181,20 @@ class TestUniformEstimate:
         with pytest.raises(InsufficientBudget):
             uniform_estimate(inst, env, 0)
 
+    def test_picks_follow_the_environment(self, monkeypatch):
+        counts = []
+        draw = Environment.sample_schedule_moments
+        monkeypatch.setattr(Environment, "sample_schedule_moments",
+                            lambda env, schedule: counts.append(schedule.counts) or draw(env, schedule))
+        inst = three_arm_instance()
+        for seed in (0, 1):
+            uniform_estimate(inst, Environment.from_instance(inst, seed=seed), 300)
+        assert counts[0] != counts[1]
+
     def test_deterministic_given_seeds(self):
         inst = three_arm_instance()
-        a = uniform_estimate(inst, Environment.from_instance(inst, seed=4), 300, rng_seed=2)
-        b = uniform_estimate(inst, Environment.from_instance(inst, seed=4), 300, rng_seed=2)
+        a = uniform_estimate(inst, Environment.from_instance(inst, seed=4), 300)
+        b = uniform_estimate(inst, Environment.from_instance(inst, seed=4), 300)
         assert np.array_equal(a.per_arm, b.per_arm)
 
 
@@ -266,7 +280,7 @@ class TestEstimatorProperties:
         for seed in range(4):
             for kind, runner in (
                 ("head", lambda e: head_estimate(inst, e, 600)),
-                ("uniform", lambda e: uniform_estimate(inst, e, 600, rng_seed=seed)),
+                ("uniform", lambda e: uniform_estimate(inst, e, 600)),
                 ("separate", lambda e: separate_arm_estimate(inst, e, 600)),
             ):
                 env = Environment.from_instance(inst, seed=seed)
@@ -341,10 +355,7 @@ class TestPerPullEquivalence:
 
     ESTIMATORS = {
         "head": (lambda inst, env, seed: head_estimate(inst, env, 4000), _per_pull_head),
-        "uniform": (
-            lambda inst, env, seed: uniform_estimate(inst, env, 4000, rng_seed=seed),
-            _per_pull_uniform,
-        ),
+        "uniform": (lambda inst, env, seed: uniform_estimate(inst, env, 4000), _per_pull_uniform),
         "separate_arm": (
             lambda inst, env, seed: separate_arm_estimate(inst, env, 4000),
             _per_pull_separate,
@@ -380,12 +391,12 @@ class TestPerPullEquivalence:
         assert est.rank_deficient
         self._check(inst, est, _per_pull_head, per_pull_sampling)
 
-    @pytest.mark.parametrize("rng_seed", [0, 1, 2, 4])
-    def test_uniform_rank_deficient_keeps_min_norm(self, per_pull_sampling, rng_seed):
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
+    def test_uniform_rank_deficient_keeps_min_norm(self, per_pull_sampling, seed):
         # Two pulls reach at most two of the three lift directions; the seeds
-        # cover one arm pulled twice and two different arms.
+        # cover one arm pulled twice (1) and two different arms.
         inst = three_arm_instance()
-        est = uniform_estimate(inst, Environment.from_instance(inst, seed=6), 2, rng_seed=rng_seed)
+        est = uniform_estimate(inst, Environment.from_instance(inst, seed=seed), 2)
         assert est.rank_deficient
         X, phi = inst.arms, lift_arms(inst.arms)
         ((idx, ys),) = per_pull_sampling
@@ -405,7 +416,7 @@ class TestNoPerPullDraws:
         inst = build_varest_instance({"d": 4, "n_sphere": 30, "n_small": 60}, 0)
         for estimate in (
             lambda env: head_estimate(inst, env, 4000),
-            lambda env: uniform_estimate(inst, env, 4000, rng_seed=1),
+            lambda env: uniform_estimate(inst, env, 4000),
             lambda env: separate_arm_estimate(inst, env, 4000),
         ):
             assert estimate(Environment.from_instance(inst, seed=3)).budget_used >= 4000
