@@ -12,7 +12,6 @@ from .core import (
     HeteroInstance,
     InsufficientBudget,
     RankDeficientLift,
-    SingularInformation,
     SpanViolation,
     VarianceEstimate,
     lift_arms,
@@ -61,7 +60,6 @@ __all__ = [
     "RoundSchedule",
     "RunConfig",
     "RunTrace",
-    "SingularInformation",
     "SpanViolation",
     "VarEstTask",
     "VarianceEstimate",

@@ -22,17 +22,6 @@ class DimensionMismatch(HetBanditError, ValueError):
     """Vector/matrix shapes are inconsistent."""
 
 
-class SingularInformation(HetBanditError):
-    """An information matrix could not be factorized.
-
-    Carries the smallest eigenvalue seen, for diagnostics.
-    """
-
-    def __init__(self, smallest_pivot: float):
-        self.smallest_pivot = float(smallest_pivot)
-        super().__init__(f"information matrix singular (smallest eigenvalue {smallest_pivot:.3e})")
-
-
 class SpanViolation(HetBanditError):
     """An evaluation vector lies outside the span of the sample vectors."""
 
@@ -150,13 +139,10 @@ def greedy_spanning_subset(vectors: np.ndarray, size: int) -> list[int]:
 
 
 def solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A by Cholesky; raises
-    :class:`SingularInformation` when A does not factorize."""
-    A = np.asarray(A, dtype=np.float64)
-    try:
-        c = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        raise SingularInformation(float(np.linalg.eigvalsh(A).min())) from None
+    """Solve A x = b for symmetric positive definite A by Cholesky; numpy's
+    ``LinAlgError`` if A does not factorize. No library path calls it.
+    It stays only as the name ``bench/probe.py`` counts calls through."""
+    c = np.linalg.cholesky(np.asarray(A, dtype=np.float64))
     return np.linalg.solve(c.T, np.linalg.solve(c, np.asarray(b, dtype=np.float64)))
 
 

@@ -301,9 +301,14 @@ def _solve_design(problem: DesignProblem) -> Design:
 
 @dataclass(frozen=True)
 class RoundSchedule:
-    """Integer pull counts derived from a continuous design."""
+    """Integer pull counts derived from a continuous design; negative or fractional counts raise."""
 
     counts: tuple[int, ...]
+
+    def __post_init__(self):
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or (counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0)):
+            raise ValueError("pull counts must be a flat sequence of nonnegative integers")
 
     @property
     def total(self) -> int:

@@ -16,7 +16,9 @@ from .design import RoundSchedule
 class Environment:
     """Noisy responses ``N(means[i], variances[i])`` of each arm ``i``: under
     the linear model, ``x_i' theta`` and ``x_i' Sigma x_i``. Zero variances
-    make it noiseless: every response is then its mean exactly.
+    make it noiseless: every response is then its mean exactly; a negative
+    variance raises ``ValueError``, and a schedule whose length is not the
+    number of arms raises :class:`DimensionMismatch`.
 
     The per-arm arrays are kept by reference, not copied, so every environment
     built from one instance (and every ``split`` child) shares that instance's
@@ -37,6 +39,8 @@ class Environment:
             raise DimensionMismatch("means and variances must be 1-d arrays of one length")
         if not (np.isfinite(self.means).all() and np.isfinite(self.variances).all()):
             raise ValueError("means and variances must be finite")
+        if (self.variances < 0).any():
+            raise ValueError("variances must be nonnegative")
         self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self.rng = np.random.Generator(np.random.Philox(self._seed_seq))
         self.pull_count = 0
@@ -51,7 +55,11 @@ class Environment:
         return [Environment(self.means, self.variances, seed=seq) for seq in self._seed_seq.spawn(n)]
 
     def _stds(self) -> np.ndarray:
-        return np.sqrt(np.maximum(self.variances, 0.0))
+        return np.sqrt(self.variances)
+
+    def _check_length(self, schedule: RoundSchedule) -> None:
+        if len(schedule.counts) != self.means.size:
+            raise DimensionMismatch(f"schedule has {len(schedule.counts)} counts for {self.means.size} arms")
 
     def sample_schedule(self, schedule: RoundSchedule) -> tuple[np.ndarray, np.ndarray]:
         """Execute a pull schedule in ascending arm order.
@@ -60,6 +68,7 @@ class Environment:
         per pull. All pulls share one ``standard_normal`` call, which leaves
         the stream as it would be drawn one arm at a time.
         """
+        self._check_length(schedule)
         idx = np.repeat(np.arange(self.means.size), schedule.counts)
         ys = self.means[idx] + self._stds()[idx] * self.rng.standard_normal(idx.size)
         self.pull_count += schedule.total
@@ -73,6 +82,7 @@ class Environment:
         materializing every pull. Counts are returned as floats to survive
         very large budgets.
         """
+        self._check_length(schedule)
         counts = np.asarray(schedule.counts, dtype=np.float64)
         pulled = counts > 0
         sums = np.zeros(counts.size)

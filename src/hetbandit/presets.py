@@ -29,7 +29,7 @@ class VarEstTask:
     budgets: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
+        object.__setattr__(self, "budgets", tuple(_as(int, b) for b in self.budgets))
         if any(b < 2 for b in self.budgets):
             raise ConfigError("budgets must be at least 2")
 
@@ -101,7 +101,7 @@ class ExperimentConfig:
             if isinstance(names, str):
                 names = [a.strip() for a in names.split(",") if a.strip()]
             names = tuple(map(str, names)) if names else ()
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad configuration value: {exc}") from exc
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
@@ -129,7 +129,7 @@ class ExperimentConfig:
         try:
             set_("run_config", RunConfig(**{f.name: _as(type(f.default), settings[f.name])
                                             for f in fields(RunConfig) if f.name in settings}))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad run setting: {exc}") from exc
         canonical = VAREST_ALGORITHMS if varest else IDENT_ALGORITHMS
         unknown = [a for a in names if a not in canonical]
@@ -183,7 +183,7 @@ def _build_intro(params, seed):
 
 
 def _build_example1(params, seed):
-    d = int(params["d"])
+    d = _as(int, params["d"])
     omega = float(params["omega"])
     q = float(params["q"])
     if d < 4:
@@ -205,7 +205,7 @@ def _build_example1(params, seed):
 
 
 def _build_example2(params, seed):
-    d = int(params["d"])
+    d = _as(int, params["d"])
     omega = float(params["omega"])
     alpha_sq = float(params["alpha_sq"])
     beta_sq = float(params["beta_sq"])
@@ -249,9 +249,9 @@ def _sample_sphere(rng: np.random.Generator, n: int, d: int, radius: float) -> n
 
 
 def build_varest_instance(params, seed: int) -> HeteroInstance:
-    d = int(params["d"])
-    n_sphere = int(params["n_sphere"])
-    n_small = int(params["n_small"])
+    d = _as(int, params["d"])
+    n_sphere = _as(int, params["n_sphere"])
+    n_small = _as(int, params["n_small"])
     if d < 2:
         raise ConfigError("varest needs d >= 2")
     if n_sphere + n_small < d * (d + 1) // 2:
@@ -297,6 +297,6 @@ def build_preset(config: ExperimentConfig, seed: int | None = None) -> PresetBun
         instance, variances = _BUILDERS[name](params, config.base_seed if seed is None else seed)
         task = VarEstTask(params["budgets"]) if name == "varest" else IdentTask(
             str(task_params["objective"]), config.delta, instance, float(task_params["alpha"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad parameters for preset {name}: {exc}") from exc
     return PresetBundle(name, instance, task, variances)

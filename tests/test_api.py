@@ -13,7 +13,7 @@ PUBLIC = {
     "DesignProblem", "DimensionMismatch", "Environment", "ExperimentConfig",
     "HetBanditError", "HeteroInstance", "IdentTask", "InsufficientBudget",
     "PresetBundle", "RankDeficientLift", "RoundSchedule", "RunConfig", "RunTrace",
-    "SingularInformation", "SpanViolation", "VarEstTask", "VarianceEstimate",
+    "SpanViolation", "VarEstTask", "VarianceEstimate",
     "build_preset", "emit_design_table", "head_budget_for_half", "head_estimate",
     "hrage_run", "lift_arms", "mae", "oracle_run", "psi_star", "rage_run",
     "round_design", "run_suite", "separate_arm_estimate", "solve_design",
@@ -49,7 +49,8 @@ class TestPublicApi:
             assert getattr(hetbandit, name) is not None, name
 
     @pytest.mark.parametrize("name", ["info_matrix", "quad_form_inv", "oracle_truth_estimate",
-                                      "LiftedArm", "lift_phi", "gap_delta", "wls_estimate"])
+                                      "LiftedArm", "lift_phi", "gap_delta", "wls_estimate",
+                                      "SingularInformation"])
     def test_deleted_names_absent(self, name):
         assert not hasattr(hetbandit, name)
         for module in (hetbandit.core, hetbandit.ident, hetbandit.varest):

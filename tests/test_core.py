@@ -12,7 +12,6 @@ from hetbandit import (
     DimensionMismatch,
     Environment,
     HeteroInstance,
-    SingularInformation,
     lift_arms,
     unvech,
     vech,
@@ -137,11 +136,11 @@ class TestQuadFormInv:
         np.testing.assert_allclose(solve_psd(a, v), np.linalg.inv(a) @ v, rtol=1e-9)
 
     def test_singular_raises_with_pivot(self):
-        # No ridge: a semidefinite matrix raises like the zero matrix.
+        # No ridge: a semidefinite matrix raises numpy's own error, like the
+        # zero matrix.
         for a in (np.zeros((2, 2)), np.diag([1.0, 0.0])):
-            with pytest.raises(SingularInformation) as err:
+            with pytest.raises(np.linalg.LinAlgError):
                 solve_psd(a, np.ones(2))
-            assert err.value.smallest_pivot == 0.0
 
     def test_ridge_fallback_on_near_singular(self):
         # A tiny positive pivot still factors, so no ridge is needed and the

@@ -21,7 +21,7 @@ from hetbandit import (
     solve_design,
 )
 from hetbandit import design as design_module
-from hetbandit.core import Design, SingularInformation, fit_arm_sums, lift_arms, quad_forms
+from hetbandit.core import Design, fit_arm_sums, lift_arms, quad_forms
 from hetbandit.design import (
     MEMO_SIZE,
     _d_optimal_solve,
@@ -744,10 +744,10 @@ class TestSolveDesignMemo:
 
     def test_failed_solve_not_stored(self, empty_memo, monkeypatch):
         def failing_engine(problem):
-            raise SingularInformation(0.0)
+            raise SpanViolation("the engine failed")
 
         monkeypatch.setattr(design_module, "_solve_design", failing_engine)
-        with pytest.raises(SingularInformation):
+        with pytest.raises(SpanViolation):
             solve_design(memo_problem())
         assert len(empty_memo) == 0
 

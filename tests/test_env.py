@@ -141,6 +141,31 @@ class TestSharedArrays:
             Environment(np.zeros(3), np.ones(2))
 
 
+def _draw(counts, method="sample_schedule_sums"):
+    env = Environment(np.zeros(2), np.ones(2))
+    return getattr(env, method)(RoundSchedule(counts))
+
+
+class TestMalformedInput:
+    # Malformed input raises rather than being read as something else: a
+    # negative variance as a noiseless arm, a negative count as pulls taken
+    # back, a fractional count as a fractional pull.
+    @pytest.mark.parametrize("make, error", [
+        (lambda: Environment(np.zeros(2), [-1.0, 1.0]), ValueError),
+        (lambda: RoundSchedule((-1, 3)), ValueError),
+        (lambda: RoundSchedule((1.5, 2)), ValueError),
+        (lambda: RoundSchedule(((1, 2),)), ValueError),
+        (lambda: _draw((1, 2, 3)), DimensionMismatch),
+        (lambda: _draw((1,)), DimensionMismatch),
+        (lambda: _draw((1, 2, 3), "sample_schedule"), DimensionMismatch),
+        (lambda: _draw((1, 2, 3), "sample_schedule_moments"), DimensionMismatch),
+    ], ids=["negative-variance", "negative-count", "fractional-count", "nested-counts",
+            "long-sums", "short-sums", "long-pulls", "long-moments"])
+    def test_rejected(self, make, error):
+        with pytest.raises(error):
+            make()
+
+
 class LoopReference:
     """The per-arm loop the environment's sampling must match bit for bit.
 

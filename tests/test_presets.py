@@ -222,8 +222,21 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("field, value", [
         ("replications", "x"), ("base_seed", None), ("delta", "small"), ("jobs", [2]), ("algorithms", 5),
-        ("replications", 2.5),
+        ("replications", 2.5), ("replications", math.inf), ("overrides", {"fw_tol": 10**400}),
     ])
     def test_bad_field_type_is_a_config_error(self, field, value):
         with pytest.raises(ConfigError):
             ExperimentConfig("example2", **{field: value})
+
+    @pytest.mark.parametrize("preset, overrides", [
+        ("example1", {"d": 4.5}), ("example2", {"d": 3.5}), ("varest", {"d": 6.5}),
+        ("varest", {"n_sphere": 200.5}), ("varest", {"n_small": 300.5}),
+        ("varest", {"budgets": (10_000.9, 2.5)}), ("example1", {"d": math.inf}),
+    ])
+    def test_integer_parameters_must_be_integral(self, preset, overrides):
+        # Truncating would build another instance or budget than the one asked for.
+        with pytest.raises(ConfigError, match="not an integer|infinity"):
+            build_preset(config(preset, overrides=overrides))
+        if "budgets" in overrides:
+            with pytest.raises(ValueError, match="not an integer"):
+                VarEstTask(overrides["budgets"])
