@@ -267,7 +267,8 @@ class HeteroInstance:
         object.__setattr__(self, "sigma_star", sigma)
         # Every environment built from this instance shares these two arrays.
         object.__setattr__(self, "arm_means", _frozen(arms @ theta, "arm means"))
-        object.__setattr__(self, "_arm_variances", _frozen(var, "arm variances"))
+        # The tolerance above admits rounding-negative variances; they are zero.
+        object.__setattr__(self, "_arm_variances", _frozen(np.maximum(var, 0.0), "arm variances"))
 
     @classmethod
     def from_truth(cls, arms, targets, theta_star, sigma_star) -> "HeteroInstance":

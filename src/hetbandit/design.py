@@ -306,8 +306,9 @@ class RoundSchedule:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.ndim != 1 or (counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0)):
+        # Checked as floats, as drawn: late rounds ask for counts past 2**64.
+        counts = np.asarray(self.counts, dtype=np.float64)
+        if counts.ndim != 1 or not np.all((counts >= 0) & (counts == np.floor(counts)) & np.isfinite(counts)):
             raise ValueError("pull counts must be a flat sequence of nonnegative integers")
 
     @property

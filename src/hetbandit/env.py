@@ -54,9 +54,6 @@ class Environment:
         same per-arm arrays; each keeps its own pull count."""
         return [Environment(self.means, self.variances, seed=seq) for seq in self._seed_seq.spawn(n)]
 
-    def _stds(self) -> np.ndarray:
-        return np.sqrt(self.variances)
-
     def _check_length(self, schedule: RoundSchedule) -> None:
         if len(schedule.counts) != self.means.size:
             raise DimensionMismatch(f"schedule has {len(schedule.counts)} counts for {self.means.size} arms")
@@ -70,7 +67,7 @@ class Environment:
         """
         self._check_length(schedule)
         idx = np.repeat(np.arange(self.means.size), schedule.counts)
-        ys = self.means[idx] + self._stds()[idx] * self.rng.standard_normal(idx.size)
+        ys = self.means[idx] + np.sqrt(self.variances)[idx] * self.rng.standard_normal(idx.size)
         self.pull_count += schedule.total
         return idx, ys
 
@@ -88,7 +85,7 @@ class Environment:
         sums = np.zeros(counts.size)
         sums[pulled] = counts[pulled] * self.means[pulled]
         draws = self.rng.standard_normal(np.count_nonzero(pulled))
-        sums[pulled] += np.sqrt(counts[pulled]) * self._stds()[pulled] * draws
+        sums[pulled] += np.sqrt(counts[pulled]) * np.sqrt(self.variances)[pulled] * draws
         self.pull_count += schedule.total
         return counts, sums
 
@@ -106,5 +103,5 @@ class Environment:
         counts, sums = self.sample_schedule_sums(schedule)
         ss = np.zeros(counts.size)
         many = counts > 1
-        ss[many] = self._stds()[many] ** 2 * self.rng.chisquare(counts[many] - 1)
+        ss[many] = np.sqrt(self.variances)[many] ** 2 * self.rng.chisquare(counts[many] - 1)
         return counts, sums, ss

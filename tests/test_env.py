@@ -166,6 +166,26 @@ class TestMalformedInput:
             make()
 
 
+class TestBoundaryInput:
+    def test_counts_beyond_int64_draw(self):
+        env = Environment(np.zeros(2), np.ones(2))
+        counts, sums = env.sample_schedule_sums(RoundSchedule((2**70, 1)))
+        assert counts[0] == 2.0**70 and np.isfinite(sums).all()
+        assert env.pull_count == 2**70 + 1
+
+    def test_rounding_negative_variance_simulates_as_zero(self):
+        # A rank-2 sigma_star with one arm along its null vector: x' Sigma x
+        # rounds below zero, inside the instance's tolerance.
+        u = np.ones(3) / np.sqrt(3.0)
+        arms = np.vstack([np.eye(3), u])
+        sigma = np.eye(3) - np.outer(u, u)
+        assert np.einsum("ij,jk,ik->i", arms, sigma, arms)[3] < 0
+        inst = HeteroInstance(arms, arms, np.zeros(3), sigma, 1e-300, 1.0)
+        assert inst.arm_variances()[3] == 0.0
+        _counts, sums = Environment.from_instance(inst).sample_schedule_sums(RoundSchedule((1, 1, 1, 2)))
+        assert sums[3] == 0.0
+
+
 class LoopReference:
     """The per-arm loop the environment's sampling must match bit for bit.
 

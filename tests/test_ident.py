@@ -188,6 +188,15 @@ class TestSilentRuns:
         assert trace.non_terminated
         assert trace.correct  # the post-hoc answer still picks the leader
 
+    def test_counts_beyond_int64_run_to_max_rounds(self):
+        # A target 1e-13 from the threshold keeps rage running to round 40;
+        # a round's pull count passes 2**64 from about round 32 and still draws.
+        inst = two_target_instance(0.5)
+        task = IdentTask("ls", 0.05, inst, alpha=1.0 + 1e-13)
+        trace = rage_run(task, silent_env(inst))
+        assert trace.non_terminated and len(trace.rounds) == 40
+        assert trace.rounds[-1].pulls > 2**64
+
 
 class TestNoisyRuns:
     def test_hrage_correct_with_noise(self):

@@ -8,11 +8,17 @@ on ``ident`` and 407 on ``varest``, the same at one BLAS thread and at two;
 the bounds leave some room above those counts.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hetbandit import ExperimentConfig, run_suite
 from hetbandit import design as design_module
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 LINALG = ("solve", "inv", "cholesky", "eigh", "lstsq", "svd")
 
@@ -32,20 +38,29 @@ def linalg_calls(monkeypatch):
     design_module._memo.clear()
 
 
-# One round of each workload as bench/run.py runs it: (preset, overrides,
-# replications) per run_suite call, and the bound on the round's total.
-ROUNDS = {
-    "ident": ((("example1", {}, 4), ("example2", {}, 4)), 3_000),
-    "varest": ((("varest", {"d": 15, "budgets": (10_000, 40_000, 95_000)}, 4),), 490),
-}
+def bench_workloads():
+    """``WORKLOADS`` of ``bench/run.py``: (preset, overrides, replications)
+    per ``run_suite`` call of one round. run.py imports ``probe`` from its
+    own directory."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(BENCH))
+    return run.WORKLOADS
 
 
-@pytest.mark.parametrize("workload", ROUNDS)
+# The bound on one round's total, per workload.
+BOUNDS = {"ident": 3_000, "varest": 490}
+
+
+@pytest.mark.parametrize("workload", BOUNDS)
 def test_round_linalg_calls(linalg_calls, workload):
-    runs, bound = ROUNDS[workload]
-    for preset, overrides, reps in runs:
+    for preset, overrides, reps in bench_workloads()[workload]:
         _rows, any_failed = run_suite(ExperimentConfig(preset, replications=reps, base_seed=5,
                                                        overrides=overrides))
         assert not any_failed
     total = sum(linalg_calls.values())
-    assert 0 < total <= bound, linalg_calls
+    assert 0 < total <= BOUNDS[workload], linalg_calls
