@@ -76,11 +76,11 @@ class Environment:
 
         The sum of n i.i.d. responses is drawn directly from its exact
         distribution, so estimators that only need per-arm totals avoid
-        materializing every pull. Counts are returned as floats to survive
-        very large budgets.
+        materializing every pull. Counts are returned as the schedule's
+        read-only floats, which survive very large budgets.
         """
         self._check_length(schedule)
-        counts = np.asarray(schedule.counts, dtype=np.float64)
+        counts = schedule._draw_counts
         pulled = counts > 0
         sums = np.zeros(counts.size)
         sums[pulled] = counts[pulled] * self.means[pulled]

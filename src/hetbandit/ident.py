@@ -147,13 +147,14 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
     precisions = 1.0 / sigma_sq
 
     active = np.arange(n_targets)
-    # Shared by the records of consecutive rounds with the same active set.
+    # Shared, with the design, by consecutive rounds with the same active set.
     active_indices = tuple(range(n_targets))
     in_good: set[int] = set()
     rounds: list[RoundRecord] = []
     total = burn_in
     theta_hat = np.zeros(inst.dimension)
     non_terminated = False
+    design = None
 
     ell = 0
     while True:
@@ -166,19 +167,20 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
             non_terminated = True
             break
 
-        if task.objective == "bai":  # unordered pairwise differences of the active targets
-            iu, ju = _pair_indices(active.size)
-            directions = Z[active[iu]] - Z[active[ju]]
-        else:
-            directions = Z[active]
-        design = solve_design(
-            DesignProblem(
-                inst.arms,
-                directions,
-                variances=sigma_sq if weighted else None,
-                tolerance=config.fw_tol,
+        if design is None:  # solved once per active set; later rounds reuse it
+            if task.objective == "bai":  # unordered pairwise differences of the active targets
+                iu, ju = _pair_indices(active.size)
+                directions = Z[active[iu]] - Z[active[ju]]
+            else:
+                directions = Z[active]
+            design = solve_design(
+                DesignProblem(
+                    inst.arms,
+                    directions,
+                    variances=sigma_sq if weighted else None,
+                    tolerance=config.fw_tol,
+                )
             )
-        )
         epsilon = 2.0 ** (-ell)
         tau = round_budget(epsilon, design.value, n_targets, task.delta, ell, tau_scale)
         schedule = round_design(design, tau)
@@ -209,6 +211,7 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
             active = active[~(to_good | to_bad)]
         if active.size < len(active_indices):
             active_indices = tuple(int(i) for i in active)
+            design = None
 
     # Classified targets score beyond either side of any threshold; targets
     # still active when the run stops score their last estimate.

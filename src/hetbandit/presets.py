@@ -144,10 +144,10 @@ class ExperimentConfig:
 _PRESET_ALIASES = {"introkappa": "intro", "multivariatetest": "multivariate", "varestcompare": "varest"}
 
 PRESET_DEFAULTS: dict[str, dict[str, Any]] = {
-    "intro": {"kappa": 20.0},
-    "example1": {"d": 4, "omega": 0.02, "q": 0.4},
-    "example2": {"d": 3, "omega": 0.02, "alpha_sq": 1.0, "beta_sq": 0.2},
-    "multivariate": {},
+    "intro": {"kappa": 20.0, "objective": "bai", "alpha": 0.0},
+    "example1": {"d": 4, "omega": 0.02, "q": 0.4, "objective": "bai", "alpha": 0.0},
+    "example2": {"d": 3, "omega": 0.02, "alpha_sq": 1.0, "beta_sq": 0.2, "objective": "bai", "alpha": 0.0},
+    "multivariate": {"objective": "bai", "alpha": 0.0},
     "varest": {"d": 6, "n_sphere": 200, "n_small": 300,
                "budgets": (10_000, 20_000, 40_000, 80_000)},
     "custom": {"instance_file": None, "objective": "bai", "alpha": 0.0},
@@ -291,12 +291,10 @@ def build_preset(config: ExperimentConfig, seed: int | None = None) -> PresetBun
     """Materialize a preset; ``seed`` selects the arm draw for random presets."""
     name = config.preset
     params = {**PRESET_DEFAULTS[name], **config.overrides}
-    # Only custom may set the task's objective and threshold; its defaults hold elsewhere.
-    task_params = {**PRESET_DEFAULTS["custom"], **params}
     try:
         instance, variances = _BUILDERS[name](params, config.base_seed if seed is None else seed)
         task = VarEstTask(params["budgets"]) if name == "varest" else IdentTask(
-            str(task_params["objective"]), config.delta, instance, float(task_params["alpha"]))
+            str(params["objective"]), config.delta, instance, float(params["alpha"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad parameters for preset {name}: {exc}") from exc
     return PresetBundle(name, instance, task, variances)

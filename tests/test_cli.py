@@ -298,6 +298,14 @@ class TestCliMain:
         body = out.read_text()
         assert "rage" in body and "total_pulls" in body
 
+    def test_level_set_run_on_a_fixed_arm_preset(self, tmp_path):
+        out = tmp_path / "ls.csv"
+        code = main(["run", "--preset", "example1", "--reps", "1", "--seed", "5",
+                     "--set", "objective=ls", "--set", "alpha=0.99", "--out", str(out)])
+        assert code == 0
+        cells = [line.split(",") for line in out.read_text().splitlines()[2:] if ",summary," not in line]
+        assert len(cells) == 4 and all(cell[5] == "true" for cell in cells)
+
     def test_config_file_plus_cli_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("preset = intro\nkappa = 5\n")

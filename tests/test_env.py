@@ -173,6 +173,13 @@ class TestBoundaryInput:
         assert counts[0] == 2.0**70 and np.isfinite(sums).all()
         assert env.pull_count == 2**70 + 1
 
+    def test_drawn_counts_are_the_schedules_float_array(self):
+        # Converted once, when the schedule is built: every draw reads that array.
+        schedule = RoundSchedule((3, 0, 2))
+        counts, _ = Environment(np.zeros(3), np.ones(3)).sample_schedule_sums(schedule)
+        assert counts is schedule._draw_counts and counts.dtype == np.float64
+        assert not counts.flags.writeable and counts.tolist() == [3.0, 0.0, 2.0]
+
     def test_rounding_negative_variance_simulates_as_zero(self):
         # A rank-2 sigma_star with one arm along its null vector: x' Sigma x
         # rounds below zero, inside the instance's tolerance.

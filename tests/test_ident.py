@@ -239,6 +239,24 @@ class TestNoisyRuns:
         assert round_budget(0.25, 3.0, 16, 0.05, 2, 3.0) > base
         assert round_budget(0.25, 3.0, 8, 0.01, 2, 3.0) > base
 
+    @pytest.mark.parametrize("runner, objective, alpha", [(hrage_run, "bai", 0.0), (rage_run, "bai", 0.0),
+                                                          (hrage_run, "ls", 0.99)])
+    def test_one_solve_per_active_set(self, monkeypatch, runner, objective, alpha):
+        # Rounds that keep the active set of the round before reuse its
+        # design: one solve per distinct active set, one value across its rounds.
+        problems = []
+        solve = ident.solve_design
+        monkeypatch.setattr(ident, "solve_design", lambda problem: problems.append(problem) or solve(problem))
+        bundle = build_preset(ExperimentConfig(preset="example1"))
+        task = IdentTask(objective, bundle.task.delta, bundle.instance, alpha)
+        trace = runner(task, Environment.from_instance(bundle.instance, seed=5), RunConfig(c_prime=1.0))
+        values = {}
+        for record in trace.rounds:
+            values.setdefault(record.active_indices, set()).add(record.design_value)
+        assert trace.correct and len(trace.rounds) > len(values) > 1
+        assert len(problems) == len(values)
+        assert all(len(shared) == 1 for shared in values.values())
+
 
 class TestComplexity:
     def test_two_arm_closed_form(self):
