@@ -28,7 +28,7 @@ import logging
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,8 +171,8 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
     the quadratic forms and ``f`` from it serve every step until ``lam``
     moves. Stops once the best floored value is within ``tolerance`` of the
     bound, or after ``max_steps`` steps of either kind, the last a mixture
-    step; returns the bound and the unfloored weights of the best floored
-    design seen at a mixture step.
+    step; returns the bound and the best design seen at a mixture step, as
+    its unfloored weights and as the floored design the bound certifies.
     """
     n, m = X.shape[0], V.shape[0]
     eta = tolerance / 10.0
@@ -180,14 +180,17 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
     XpT = (X * prec[:, None]).T
     mu = np.full(m, 1.0 / m)
     lam = np.full(n, 1.0 / n)
-    best_bound, best_value, best_lam = -math.inf, math.inf, lam
+    best_bound, best_value, best = -math.inf, math.inf, None
     C = None
     for step in range(max_steps):
         if C is None:
+            floored = (1.0 - eta) * lam + eta / n
+            # The uniform start stands as the best until a mixture step.
+            best = best or (lam, floored)
             try:
-                C = np.linalg.solve((XpT * ((1.0 - eta) * lam + eta / n)) @ X, VT)
+                C = np.linalg.solve((XpT * floored) @ X, VT)
             except np.linalg.LinAlgError:
-                return best_bound, best_lam
+                break
             XC = X @ C
             quads = np.einsum("mr,rm->m", V, C)
             f = float(quads.max())
@@ -207,12 +210,12 @@ def _floored_eg_solve(X, V, prec, tolerance, max_steps):
             continue
         best_bound = max(best_bound, (1.0 - eta) * (phi - (1.0 - eta) * gap))
         if f < best_value:
-            best_value, best_lam = f, lam
+            best_value, best = f, (lam, floored)
         if best_value <= best_bound * (1.0 + tolerance):
             break
         mu = mu * np.exp(2.0 * (quads - f) / f)
         mu /= mu.sum()
-    return best_bound, best_lam
+    return (best_bound, *best)
 
 
 # Solved designs kept per process, least recently used first out.
@@ -275,16 +278,14 @@ def _solve_design(problem: DesignProblem) -> Design:
     """
     X, V = _whiten(problem.sample_vectors, problem.eval_vectors, problem.variances)
     prec = 1.0 / problem.variances
-    n, r = X.shape
+    r = X.shape[1]
     tol = problem.tolerance
     variance = float(problem.variances[0])
     if problem._self_eval and np.all(problem.variances == variance):
         bound = r * variance
         lam = fallback = _d_optimal_solve(X, prec, bound, tol, MAX_STEPS)
     else:
-        bound, lam = _floored_eg_solve(X, V, prec, tol, MAX_STEPS)
-        eta = tol / 10.0
-        fallback = (1.0 - eta) * lam + eta / n
+        bound, lam, fallback = _floored_eg_solve(X, V, prec, tol, MAX_STEPS)
     pruned = np.where(lam < PRUNE_THRESHOLD, 0.0, lam)
     tried: list[Design] = []
     for weights in (pruned / pruned.sum(), fallback):
@@ -301,35 +302,34 @@ def _solve_design(problem: DesignProblem) -> Design:
     return design
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundSchedule:
-    """Integer pull counts derived from a continuous design; negative or
-    fractional counts raise. ``_draw_counts`` is their read-only float64
-    copy, converted once, which the environment draws from."""
+    """Integer pull counts from a continuous design as one read-only float64
+    array, which every draw reads; counts that are not a flat array of finite,
+    nonnegative integers raise ``ValueError``. ``total`` is their exact sum as
+    a Python int, past 2**64 too (late rounds). Schedules compare by identity."""
 
-    counts: tuple[int, ...]
+    counts: np.ndarray
+    total: int = field(init=False)
 
     def __post_init__(self):
-        # Checked as floats, as drawn: late rounds ask for counts past 2**64.
-        counts = np.asarray(self.counts, dtype=np.float64)
-        if counts.ndim != 1 or not np.all((counts >= 0) & (counts == np.floor(counts)) & np.isfinite(counts)):
+        counts = _frozen(self.counts, "pull counts")
+        if counts.ndim != 1 or not ((counts >= 0) & (counts == np.floor(counts))).all():
             raise ValueError("pull counts must be a flat sequence of nonnegative integers")
-        counts.flags.writeable = False
-        object.__setattr__(self, "_draw_counts", counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
+        total = counts.sum()
+        object.__setattr__(self, "counts", counts)
+        # A float sum of integers below 2**53 is exact; past it, sum as Python ints.
+        object.__setattr__(self, "total", int(total) if total < 2**53 else sum(map(int, counts)))
 
 
 def round_design(design: Design, n_samples) -> RoundSchedule:
-    """Integer pull counts ``ceil(N * lam)``, so zero off the support.
+    """Pull counts ``ceil(N * lam)`` as that float64 array, zero off the support.
 
     Every arm gets at least ``N lam_i`` pulls, so ``A(counts) >= N A(lam)``
     and the realized value is at most ``design.value / N``; the total
-    overshoots ``N`` by less than the support size.
+    overshoots ``N`` by less than the support size. A budget outside
+    ``(0, inf)``, NaN included, raises ``ValueError``.
     """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be at least 1")
-    counts = tuple(int(c) for c in np.ceil(n_samples * design.weights))
-    return RoundSchedule(counts)
+    if not 0 < n_samples < math.inf:
+        raise ValueError("n_samples must be positive and finite")
+    return RoundSchedule(np.ceil(n_samples * design.weights))

@@ -63,10 +63,13 @@ class Environment:
 
         Returns parallel arrays of arm indices and observations, one entry
         per pull. All pulls share one ``standard_normal`` call, which leaves
-        the stream as it would be drawn one arm at a time.
+        the stream as it would be drawn one arm at a time. A schedule of more
+        pulls than an index array can hold raises ``OverflowError``.
         """
         self._check_length(schedule)
-        idx = np.repeat(np.arange(self.means.size), schedule.counts)
+        if schedule.total > np.iinfo(np.intp).max:
+            raise OverflowError(f"{schedule.total} pulls are too many to draw one by one")
+        idx = np.repeat(np.arange(self.means.size), schedule.counts.astype(np.intp))
         ys = self.means[idx] + np.sqrt(self.variances)[idx] * self.rng.standard_normal(idx.size)
         self.pull_count += schedule.total
         return idx, ys
@@ -76,11 +79,12 @@ class Environment:
 
         The sum of n i.i.d. responses is drawn directly from its exact
         distribution, so estimators that only need per-arm totals avoid
-        materializing every pull. Counts are returned as the schedule's
-        read-only floats, which survive very large budgets.
+        materializing every pull. The counts returned are the schedule's own
+        read-only float64 ``counts``, exact at any budget, and ``pull_count``
+        grows by its exact integer ``total``.
         """
         self._check_length(schedule)
-        counts = schedule._draw_counts
+        counts = schedule.counts
         pulled = counts > 0
         sums = np.zeros(counts.size)
         sums[pulled] = counts[pulled] * self.means[pulled]

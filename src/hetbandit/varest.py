@@ -65,10 +65,6 @@ def head_budget_for_half(inst: HeteroInstance, delta: float, c_prime: float = DE
     return 2 * math.ceil(2.0 * c_prime * math.log(n / delta) * kappa**2 * d**2)
 
 
-def _clamp_all(raw: np.ndarray, inst: HeteroInstance) -> np.ndarray:
-    return np.clip(raw, inst.sigma_min_sq, inst.sigma_max_sq)
-
-
 def _lifted_estimate(
     inst: HeteroInstance, phi: np.ndarray, counts, sums, ss, theta_hat=None, **fields
 ) -> VarianceEstimate:
@@ -80,7 +76,7 @@ def _lifted_estimate(
     coeffs, rank = fit_arm_sums(phi, counts, ss)
     return VarianceEstimate(
         sigma_hat_matrix=unvech(coeffs, inst.dimension),
-        per_arm=_clamp_all(phi @ coeffs, inst),
+        per_arm=np.clip(phi @ coeffs, inst.sigma_min_sq, inst.sigma_max_sq),
         theta_hat=theta_hat,
         rank_deficient=rank < phi.shape[1],
         **fields,
@@ -149,8 +145,7 @@ def uniform_estimate(inst: HeteroInstance, env: Environment, gamma: int) -> Vari
     if gamma < 1:
         raise InsufficientBudget("uniform estimator needs at least one sample")
     X, phi = inst.arms, instance_lift(inst)
-    counts = env.rng.multinomial(gamma, np.full(inst.n_arms, 1.0 / inst.n_arms))
-    schedule = RoundSchedule(tuple(counts.tolist()))
+    schedule = RoundSchedule(env.rng.multinomial(gamma, np.full(inst.n_arms, 1.0 / inst.n_arms)))
     n, sums, ss = env.sample_schedule_moments(schedule)
     theta_hat, _ = fit_arm_sums(X, n, sums)
     return _lifted_estimate(
@@ -182,9 +177,9 @@ def separate_arm_estimate(
             f"budget {gamma} leaves fewer than two samples per selected arm"
         )
 
-    counts = np.zeros(inst.n_arms, dtype=np.int64)
+    counts = np.zeros(inst.n_arms)
     counts[chosen] = n_per
-    schedule = RoundSchedule(tuple(counts.tolist()))
+    schedule = RoundSchedule(counts)
     n, sums, ss = env.sample_schedule_moments(schedule)
     return _lifted_estimate(
         inst, phi, n, sums, ss, budget_used=schedule.total, estimator_kind="separate_arm"

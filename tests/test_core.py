@@ -16,9 +16,9 @@ from hetbandit import (
     unvech,
     vech,
 )
-from hetbandit.core import fit_arm_sums, gram_eigh, greedy_spanning_subset, quad_forms, solve_psd
+from hetbandit.core import fit_arm_sums, gram_eigh, greedy_spanning_subset, instance_lift, quad_forms, solve_psd
 from hetbandit.presets import PRESET_DEFAULTS, build_varest_instance
-from hetbandit.varest import _clamp_all
+from hetbandit.varest import _lifted_estimate
 
 
 def random_symmetric(rng, d):
@@ -433,17 +433,25 @@ class TestFitArmSums:
         self.assert_matches(coef, rank, *self.per_pull(X, counts, ys, np.ones(5)))
 
 
+def _clamped(raw, inst):
+    """Per-arm variances of a lifted fit that attains ``raw`` on the unit
+    instance's two arms (one pull each, ``raw`` as its sum of squares)."""
+    fit = _lifted_estimate(inst, instance_lift(inst), np.ones(2), np.zeros(2), np.asarray(raw, dtype=float),
+                           budget_used=2, estimator_kind="fit")
+    return fit.per_arm
+
+
 class TestClampVariance:
     @pytest.mark.parametrize("raw,expected", [(-3.0, 0.1), (2.0, 2.0), (9.0, 4.0)])
     def test_cases(self, raw, expected):
-        assert _clamp_all(np.array([raw]), _unit_instance()).tolist() == [expected]
+        assert _clamped([raw, raw], _unit_instance()).tolist() == [expected, expected]
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=5))
+    @given(st.lists(st.floats(-100, 100), min_size=2, max_size=2))
     def test_idempotent(self, raw):
         inst = _unit_instance()
-        once = _clamp_all(np.array(raw), inst)
-        assert np.array_equal(_clamp_all(once, inst), once)
+        once = _clamped(raw, inst)
+        assert np.array_equal(_clamped(once, inst), once)
 
 
 class TestHeteroInstance:

@@ -275,10 +275,12 @@ def weighted_transductive_problems(count=50, seed=60):
 class TestFlooredEngine:
     def test_matches_cholesky_inverse_reference(self):
         for X, V, prec, tolerance, max_steps in weighted_transductive_problems():
-            bound, lam = _floored_eg_solve(X, V, prec, tolerance, max_steps)
+            bound, lam, floored = _floored_eg_solve(X, V, prec, tolerance, max_steps)
             ref_bound, ref_lam, _ = cholesky_inverse_engine(X, V, prec, tolerance, max_steps)
             assert abs(bound - ref_bound) <= 1e-12 * abs(ref_bound)
             np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=1e-12)
+            eta = tolerance / 10.0
+            assert np.array_equal(floored, (1.0 - eta) * lam + eta / lam.size)
 
     def test_one_solve_per_design_update(self, monkeypatch):
         # One factorization for the uniform start, then one after each design
@@ -312,7 +314,7 @@ class TestFlooredEngine:
         problem = DesignProblem(arms, rng.standard_normal((1, 4)), tolerance=1e-16)
         X, V = _whiten(problem.sample_vectors, problem.eval_vectors, problem.variances)
         calls = count_solves(monkeypatch)
-        bound, lam = _floored_eg_solve(X, V, np.ones(15), problem.tolerance, 500)
+        bound, lam, _ = _floored_eg_solve(X, V, np.ones(15), problem.tolerance, 500)
         assert len(calls) == 500
         assert 0 < bound < math.inf
         assert lam.max() > 10 * lam.min()
@@ -331,7 +333,7 @@ class TestFlooredEngine:
     def test_singular_information_ends_the_solve(self):
         # Unwhitened samples with a zero coordinate: the first A is singular.
         X = np.array([[1.0, 0.0], [2.0, 0.0]])
-        bound, lam = _floored_eg_solve(X, np.array([[1.0, 0.0]]), np.ones(2), 1e-3, 100)
+        bound, lam, _ = _floored_eg_solve(X, np.array([[1.0, 0.0]]), np.ones(2), 1e-3, 100)
         assert bound == -math.inf
         np.testing.assert_array_equal(lam, [0.5, 0.5])
 
@@ -923,22 +925,29 @@ class TestSolveDesignMemo:
 
 def realized_value(schedule, arms, evals, variances):
     """``max_v v' A(counts)^+ v`` for the pull counts of ``schedule``."""
-    counts = np.asarray(schedule.counts, dtype=np.float64)
-    return float(quad_forms(arms, evals, counts / variances).max())
+    return float(quad_forms(arms, evals, schedule.counts / variances).max())
 
 
 class TestRoundDesign:
     def test_even_split_ceiling(self):
         design = solve_design(kw_problem(np.eye(2)))
         schedule = round_design(design, 10)
-        assert schedule.counts == (5, 5)
+        assert np.array_equal(schedule.counts, [5.0, 5.0])
         assert schedule.total == 10
 
     def test_ceiling_overshoot_on_thirds(self):
         design = solve_design(kw_problem(np.eye(3)))
         schedule = round_design(design, 10)
-        assert schedule.counts == (4, 4, 4)
+        assert np.array_equal(schedule.counts, [4.0, 4.0, 4.0])
         assert schedule.total == 12
+
+    def test_counts_are_the_ceiling_array(self):
+        # The schedule keeps ceil(N w) itself: float64, bit for bit, read-only.
+        design = Design(weights=np.random.default_rng(3).dirichlet(np.ones(7)), value=1.0)
+        counts = round_design(design, 1234.5).counts
+        expected = np.ceil(1234.5 * design.weights)
+        assert counts.dtype == np.float64 and counts.tobytes() == expected.tobytes()
+        assert not counts.flags.writeable
 
     def test_efficient_factor_contract(self):
         # Ceiling rounding keeps the factor contract that exact-apportionment
@@ -969,10 +978,11 @@ class TestRoundDesign:
         schedule = round_design(design, 10.5)
         assert schedule.total >= 10.5
 
-    def test_rejects_nonpositive_budget(self):
+    @pytest.mark.parametrize("n_samples", [0, -3, math.nan, math.inf])
+    def test_rejects_nonpositive_budget(self, n_samples):
         design = solve_design(kw_problem(np.eye(2)))
         with pytest.raises(ValueError):
-            round_design(design, 0)
+            round_design(design, n_samples)
 
     def test_rejects_unknown_mode(self):
         # Ceiling rounding is the only rule, so round_design takes no mode.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def make_instance():
 
 
 def schedule(counts):
-    return RoundSchedule(tuple(counts))
+    return RoundSchedule(counts)
 
 
 def pull(env, arm):
@@ -173,11 +174,27 @@ class TestBoundaryInput:
         assert counts[0] == 2.0**70 and np.isfinite(sums).all()
         assert env.pull_count == 2**70 + 1
 
+    def test_counts_beyond_int64_refuse_per_pull_draws(self):
+        # Pull by pull they would need an index array past int64; never cast
+        # into a negative repeat count.
+        env = Environment(np.zeros(2), np.ones(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((ValueError, OverflowError)):
+                env.sample_schedule(RoundSchedule((2**70, 1)))
+        assert env.pull_count == 0
+
+    @pytest.mark.parametrize("counts", [(2**53, 1), (2**70, 1, 2**53 + 2)])
+    def test_total_is_the_exact_integer_sum(self, counts):
+        # Past 2**53 a float64 sum of the counts would round.
+        total = RoundSchedule(counts).total
+        assert type(total) is int and total == sum(counts)
+
     def test_drawn_counts_are_the_schedules_float_array(self):
         # Converted once, when the schedule is built: every draw reads that array.
         schedule = RoundSchedule((3, 0, 2))
         counts, _ = Environment(np.zeros(3), np.ones(3)).sample_schedule_sums(schedule)
-        assert counts is schedule._draw_counts and counts.dtype == np.float64
+        assert counts is schedule.counts and counts.dtype == np.float64
         assert not counts.flags.writeable and counts.tolist() == [3.0, 0.0, 2.0]
 
     def test_rounding_negative_variance_simulates_as_zero(self):
