@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -113,13 +112,6 @@ class RunConfig:
             raise ValueError("max_rounds must be at least 1")
 
 
-@lru_cache(maxsize=16)  # read-only pair indices, built once per active-set size
-def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    iu, ju = np.triu_indices(m, k=1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
-
-
 def round_budget(epsilon: float, design_value: float, n_targets: int, delta: float, ell: int, scale: float) -> float:
     """Per-round sample budget: scale * eps^-2 * q * log(8 ell^2 |Z| / delta)."""
     return scale * design_value / epsilon**2 * math.log(8 * ell**2 * n_targets / delta)
@@ -169,7 +161,7 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
 
         if design is None:  # solved once per active set; later rounds reuse it
             if task.objective == "bai":  # unordered pairwise differences of the active targets
-                iu, ju = _pair_indices(active.size)
+                iu, ju = np.triu_indices(active.size, k=1)
                 directions = Z[active[iu]] - Z[active[ju]]
             else:
                 directions = Z[active]
@@ -177,7 +169,7 @@ def _elimination_run(task: IdentTask, env: Environment, config: RunConfig, weigh
                 DesignProblem(
                     inst.arms,
                     directions,
-                    variances=sigma_sq if weighted else None,
+                    variances=sigma_sq,
                     tolerance=config.fw_tol,
                 )
             )

@@ -30,6 +30,8 @@ class VarEstTask:
 
     def __post_init__(self):
         object.__setattr__(self, "budgets", tuple(_as(int, b) for b in self.budgets))
+        if not self.budgets:
+            raise ConfigError("budgets must name at least one budget")
         if any(b < 2 for b in self.budgets):
             raise ConfigError("budgets must be at least 2")
 
@@ -71,9 +73,10 @@ class ExperimentConfig:
     task's canonical order (all of them by default) and builds ``run_config``
     from the run settings. It raises :class:`ConfigError` on a bad value and
     on any setting that ``command`` does not read for this preset: only
-    ``run`` on an identification preset reads the run settings, and only
-    ``run`` reads algorithms, replications, base_seed and jobs, which must
-    keep their defaults elsewhere. The config is frozen, so these derived
+    ``run`` on an identification preset reads the run settings, only ``run``
+    reads algorithms, replications, base_seed and jobs, and only ``run`` on an
+    identification preset and ``complexity`` read delta; each must keep its
+    default elsewhere. The config is frozen, so these derived
     fields cannot go stale; ``dataclasses.replace`` derives them afresh."""
 
     preset: str
@@ -113,11 +116,14 @@ class ExperimentConfig:
             raise ConfigError("base_seed must be nonnegative")
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        unread = [f.name for f in fields(self) if f.name in ("replications", "base_seed", "jobs", "algorithms")
-                  and getattr(self, f.name) != f.default]
-        if self.command != "run" and unread:
-            raise ConfigError(f"unknown setting {', '.join(unread)} for {self.command}; only run reads it")
         varest = self.preset == "varest"
+        unread = [f.name for f in fields(self) if (
+            f.name in ("replications", "base_seed", "jobs", "algorithms") and self.command != "run"
+            or f.name == "delta" and (self.command == "design" or self.command == "run" and varest))
+            and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"unknown setting {', '.join(unread)} for {self.command} on preset {self.preset}; "
+                              "it is not read there")
         run_settings = RUN_SETTINGS if self.command == "run" and not varest else ()
         known = {*PRESET_DEFAULTS[self.preset], *run_settings}
         unknown = sorted(map(str, set(self.overrides) - known))

@@ -1,6 +1,8 @@
 """Replication orchestration and CSV emission for the experiment presets.
 
-Each cell of a suite becomes one :class:`Record` of Python values; summary
+A suite runs one cell per (seed, algorithm) and, for ``varest``, per budget,
+over the configured algorithms in their canonical order; each cell calls its
+algorithm directly and becomes one :class:`Record` of Python values. Summary
 rows are computed from the unrounded records, and every row is formatted to
 CSV once. Fixed-arm presets (all but ``varest``) are built once per suite.
 """
@@ -60,68 +62,49 @@ def _row(fields) -> str:
     return ",".join(_fmt(v) for v in fields)
 
 
-def _ident_fields(trace):
-    return "total_pulls", float(trace.total_pulls), trace.correct, len(trace.rounds), trace.burn_in_pulls
-
-
-def _cells(config: ExperimentConfig, rep: int, bundle: PresetBundle) -> list:
-    """``(algorithm, spawn key, run)`` per cell of replication ``rep``.
-
-    ``run(env)`` returns the metric name, value, correct, rounds and burn-in
-    of the cell. The lambdas look the algorithms up in this module's globals
-    when they are called, so a patched name is the one that runs. A cell's
-    spawn key holds its algorithm's index in the task's canonical list.
-    """
-    task, inst, run_cfg = bundle.task, bundle.instance, config.run_config
-    varest = isinstance(task, VarEstTask)
-    if varest:
-        runs = {
-            "head": lambda env, gamma: head_estimate(inst, env, gamma),
-            "uniform": lambda env, gamma: uniform_estimate(inst, env, gamma),
-            "separate_arm": lambda env, gamma: separate_arm_estimate(inst, env, gamma),
-        }
+def _run_cell(config: ExperimentConfig, bundle: PresetBundle, algo: str, gamma: int | None, env: Environment):
+    """Metric name, value, correct, rounds and burn-in of one cell. The
+    algorithms are looked up in this module's globals when the cell runs, so
+    a patched name is the one that runs."""
+    task, inst, run_config = bundle.task, bundle.instance, config.run_config
+    if gamma is not None:
+        estimate = {"head": head_estimate, "uniform": uniform_estimate, "separate_arm": separate_arm_estimate}[algo]
+        est = estimate(inst, env, gamma)
+        return f"mae@{gamma}", mae(est, inst), None, None, est.budget_used
+    if algo == "hrage":
+        trace = hrage_run(task, env, run_config)
+    elif algo == "rage":
+        trace = rage_run(task, env, run_config)
+    elif algo == "oracle-het":
+        trace = oracle_run(task, env, "truth", variances=bundle.variances, config=run_config)
     else:
-        runs = {
-            "hrage": lambda env: hrage_run(task, env, run_cfg),
-            "rage": lambda env: rage_run(task, env, run_cfg),
-            "oracle-het": lambda env: oracle_run(task, env, "truth", variances=bundle.variances, config=run_cfg),
-            "oracle-hom": lambda env: oracle_run(task, env, "max", config=run_cfg),
-        }
-    # ExperimentConfig resolved the names against the canonical lists; these keys must be those lists.
-    assert tuple(runs) == (VAREST_ALGORITHMS if varest else IDENT_ALGORITHMS), tuple(runs)
-    if not varest:
-        return [(algo, (rep, IDENT_ALGORITHMS.index(algo)), lambda env, run=runs[algo]: _ident_fields(run(env)))
-                for algo in config.algorithms]
-    cells = []
-    for algo in config.algorithms:
-        for b, gamma in enumerate(task.budgets):
-            def run(env, estimate=runs[algo], gamma=gamma):
-                est = estimate(env, gamma)
-                return f"mae@{gamma}", mae(est, inst), None, None, est.budget_used
-            cells.append((algo, (rep, 1 + VAREST_ALGORITHMS.index(algo), b), run))
-    return cells
+        trace = oracle_run(task, env, "max", config=run_config)
+    return "total_pulls", float(trace.total_pulls), trace.correct, len(trace.rounds), trace.burn_in_pulls
 
 
 def _run_one_seed(config: ExperimentConfig, bundle: PresetBundle | None, rep: int) -> list[Record]:
     """Records of replication ``rep``'s cells, in canonical algorithm order.
-    ``bundle`` is the suite's shared preset; None builds the replication's own."""
+    ``bundle`` is the suite's shared preset; None builds the replication's own.
+    A cell's spawn key holds its algorithm's index in the task's canonical
+    list and, for ``varest``, its budget's index."""
     if bundle is None:
         # A per-replication instance seed, independent of the noise streams.
         seed = np.random.SeedSequence(config.base_seed, spawn_key=(rep, 0)).generate_state(1)[0]
         bundle = build_preset(config, seed=int(seed))
-    inst = bundle.instance
+    varest = isinstance(bundle.task, VarEstTask)
     records = []
-    for algo, spawn_key, run in _cells(config, rep, bundle):
-        env = Environment.from_instance(
-            inst, seed=np.random.SeedSequence(config.base_seed, spawn_key=spawn_key)
-        )
-        start = time.perf_counter()
-        try:
-            fields = run(env)
-        except HetBanditError as exc:
-            fields = (f"error:{type(exc).__name__}", math.nan, False, None, None)
-        wall = int(round((time.perf_counter() - start) * 1000))
-        records.append(Record(bundle.name, algo, rep, *fields, wall))
+    for algo in config.algorithms:
+        for b, gamma in enumerate(bundle.task.budgets if varest else (None,)):
+            key = (rep, 1 + VAREST_ALGORITHMS.index(algo), b) if varest else (rep, IDENT_ALGORITHMS.index(algo))
+            env = Environment.from_instance(bundle.instance,
+                                            seed=np.random.SeedSequence(config.base_seed, spawn_key=key))
+            start = time.perf_counter()
+            try:
+                fields = _run_cell(config, bundle, algo, gamma, env)
+            except HetBanditError as exc:
+                fields = (f"error:{type(exc).__name__}", math.nan, False, None, None)
+            wall = int(round((time.perf_counter() - start) * 1000))
+            records.append(Record(bundle.name, algo, rep, *fields, wall))
     return records
 
 

@@ -95,12 +95,18 @@ class TestRunSuite:
     @pytest.mark.parametrize(
         "patched, config, failing, other",
         [
-            ("hrage_run", tiny_config(), "hrage", "rage"),
-            ("head_estimate", tiny_varest_config(), "head", "separate_arm"),
+            ("hrage_run", tiny_config(), ("hrage",), "rage"),
+            ("head_estimate", tiny_varest_config(), ("head",), "separate_arm"),
+            ("rage_run", tiny_config(), ("rage",), "hrage"),
+            ("oracle_run", tiny_config(algorithms=None), ("oracle-het", "oracle-hom"), "rage"),
+            ("uniform_estimate", tiny_varest_config(algorithms=("head", "uniform")), ("uniform",), "head"),
+            ("separate_arm_estimate", tiny_varest_config(), ("separate_arm",), "head"),
         ],
-        ids=["ident", "varest"],
+        ids=["ident", "varest", "rage", "oracle", "uniform", "separate_arm"],
     )
     def test_failures_become_rows(self, monkeypatch, patched, config, failing, other):
+        # Every cell is dispatched through the runner's module globals, which
+        # is where the benchmark probe wraps each algorithm.
         def boom(*args, **kwargs):
             from hetbandit.core import HetBanditError
 
@@ -110,8 +116,8 @@ class TestRunSuite:
         rows, failed = run_suite(config)
         assert failed
         error_rows = [r for r in rows if ",error:HetBanditError," in r]
-        assert len(error_rows) == 2  # one per seed, or one per budget
-        assert all(f",{failing}," in r for r in error_rows)
+        assert len(error_rows) == 2 * len(failing)  # one per seed, or one per budget
+        assert sorted({r.split(",")[1] for r in error_rows}) == sorted(failing)
         other_rows = [r for r in rows if f",{other}," in r and ",summary," not in r]
         assert len(other_rows) == 2  # the other algorithm still ran
 
@@ -360,8 +366,11 @@ class TestCliMain:
         (["design", "--preset", "example2", "--reps", "9", "--jobs", "4", "--seed", "3", "--out", "{out}"],
          "replications, base_seed, jobs"),
         (["complexity", "--preset", "example2", "--seed", "3"], "base_seed"),
+        (["design", "--preset", "example2", "--delta", "0.3", "--out", "{out}"], "delta"),
+        (["run", "--preset", "varest", "--reps", "1", "--delta", "0.3", "--out", "{out}"], "delta"),
     ], ids=["design-fw_tol", "complexity-max_rounds", "varest-c_prime", "varest-max_rounds",
-            "varest-fw_tol", "design-algorithms", "design-reps-jobs-seed", "complexity-seed"])
+            "varest-fw_tol", "design-algorithms", "design-reps-jobs-seed", "complexity-seed",
+            "design-delta", "varest-delta"])
     def test_setting_not_read_exits_2(self, tmp_path, capsys, argv, key):
         # A setting is accepted only by the command and preset that read it.
         cfg = tmp_path / "run.cfg"

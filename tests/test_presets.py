@@ -128,6 +128,9 @@ class TestVarEst:
     def test_budget_validation(self):
         with pytest.raises(ConfigError):
             build_preset(config("varest", overrides={"budgets": (0,)}))
+        # An empty ladder would run no cell and write a CSV with no rows.
+        with pytest.raises(ConfigError, match="at least one budget"):
+            build_preset(config("varest", overrides={"budgets": ()}))
 
 
 class TestConfigPlumbing:
@@ -209,6 +212,16 @@ class TestConfigPlumbing:
             ExperimentConfig("example2", algorithms="rage", command=command)
         with pytest.raises(ConfigError, match="unknown command"):
             ExperimentConfig("example2", command="desing")
+
+    def test_delta_only_where_read(self):
+        # run on an identification preset and complexity read delta; design
+        # and the varest estimators do not, so only its default passes there.
+        for preset, command in [("example2", "run"), ("example2", "complexity")]:
+            assert ExperimentConfig(preset, delta=0.3, command=command).delta == 0.3
+        for preset, command in [("example2", "design"), ("varest", "run")]:
+            assert ExperimentConfig(preset, delta=0.05, command=command).delta == 0.05
+            with pytest.raises(ConfigError, match=f"unknown setting delta for {command}"):
+                ExperimentConfig(preset, delta=0.3, command=command)
 
     def test_fields_coerced(self):
         cfg = ExperimentConfig(" Example-2 ", replications="3", base_seed=2.0, delta="0.1",
